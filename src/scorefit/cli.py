@@ -300,7 +300,11 @@ def main(argv=None) -> int:
         print(f"scorefit: error: {exc}", file=sys.stderr)
         return 1
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            print(f"scorefit: error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     return 0

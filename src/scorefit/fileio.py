@@ -59,8 +59,8 @@ def _detect_delimiter(lines: list[str]) -> Delimiter:
 
 def _data_lines(path: Path) -> list[tuple[int, str]]:
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise MatrixParseError(f"cannot read {path}: {exc}") from exc
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

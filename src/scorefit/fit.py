@@ -1,8 +1,8 @@
 """SRMR discrepancy, its closed form for parallel measurements, and inversions.
 
-The closed form is strictly decreasing in the inter-correlation r for fixed p,
-which makes the "required r for a target SRMR" question solvable by bisection.
-It also vanishes as p grows, so a minimal scale length always exists.
+The closed form factorises as ``(1 - r) * K(p)``, so the r required for a target
+SRMR is an exact expression, and the minimal scale length follows from
+``K(p)^2 ~ 2/p`` plus an integer fix-up.
 """
 
 from __future__ import annotations
@@ -16,11 +16,6 @@ import numpy as np
 
 from .errors import DimensionError, NoSolutionError, ValidationError
 from .model import CorrelationMatrix, ParallelSpec
-
-BISECT_TOL = 1e-9
-_BISECT_R_WIDTH = 1e-13  # slope is < 0.53, so the residual ends far below BISECT_TOL
-_MAX_BISECT_ITER = 200
-
 
 class ModelKind(Enum):
     FACTOR_SCORE = "factor_score"
@@ -68,6 +63,8 @@ def srmr(
         raise DimensionError(
             f"matrix sizes differ: {sigma.p} vs {sigma_model.p}"
         )
+    if sigma.p == 0:
+        raise DimensionError("SRMR needs at least one indicator, got 0x0 matrices")
     resid = sigma.values - sigma_model.values
     return FitReport(_srmr_from_residuals(resid), resid, model_kind, tuple(warnings))
 
@@ -75,23 +72,21 @@ def srmr(
 def srmr_parallel_closed_form(r: float, p: int) -> float:
     """SRMR of the single unit-weighted scale on parallel measurements.
 
-    Closed form in the inter-correlation r and scale length p: the residual has
-    p(p-1) off-diagonal entries of size (1-r)/p and a double-weighted diagonal
-    of size (1-r)(1-1/p).  Exactly zero at r = 1, and tends to zero as p grows.
+    The residual has p(p-1) off-diagonal entries of size (1-r)/p and a
+    double-weighted diagonal of size (1-r)(1-1/p), which factorises exactly as
+    ``(1-r) * K(p)`` with ``K(p) = sqrt((p-1)(2p-1)/(p+1)) / p``.  Exactly zero
+    at r = 1; K rises from p=2 to p=3, then decreases towards zero.
     """
     spec = ParallelSpec(r, p)
-    off = (1.0 - spec.r) / spec.p
-    dia = (1.0 - spec.r) * (1.0 - 1.0 / spec.p)
-    return math.sqrt(
-        (spec.p - 1) / (spec.p + 1) * off * off + 2.0 / (spec.p + 1) * dia * dia
-    )
+    k = math.sqrt((spec.p - 1) * (2 * spec.p - 1) / (spec.p + 1)) / spec.p
+    return (1.0 - spec.r) * k
 
 
 def solve_r_for_srmr(target_srmr: float, p: int) -> float:
     """Inter-correlation r at which the parallel-scale SRMR hits the target.
 
-    Bisects over r in [0, 1], relying on strict monotone decrease in r.  The
-    returned r satisfies ``|closed_form(r, p) - target| < BISECT_TOL``.
+    Exact inverse of the closed form: ``r = 1 - target / K(p)``, where K(p) is
+    the r=0 value.  Targets above K(p) raise :class:`NoSolutionError`.
     """
     if not (math.isfinite(target_srmr) and target_srmr > 0.0):
         raise ValidationError(f"target SRMR must be positive, got {target_srmr!r}")
@@ -101,23 +96,16 @@ def solve_r_for_srmr(target_srmr: float, p: int) -> float:
             f"target SRMR {target_srmr:g} exceeds the r=0 value {ceiling:.6f} "
             f"for p={p}; no r in [0, 1] attains it"
         )
-    lo, hi = 0.0, 1.0  # value decreases from ceiling at lo to 0 at hi
-    for _ in range(_MAX_BISECT_ITER):
-        if hi - lo <= _BISECT_R_WIDTH:
-            break
-        mid = (lo + hi) / 2.0
-        if srmr_parallel_closed_form(mid, p) > target_srmr:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2.0
+    return 1.0 - target_srmr / ceiling
 
 
 def min_p_for_srmr(target_srmr: float, r: float) -> int:
     """Smallest scale length p >= 2 whose parallel-scale SRMR is <= the target.
 
-    Doubling search followed by integer bisection.  A solution always exists
-    for r < 1 because the closed form tends to zero in p.
+    Since ``K(p)^2 = 2/p - O(1/p^2)``, the answer lies within a few steps of
+    ``2 (1-r)^2 / target^2``; the closed form, decreasing for p >= 3, fixes it
+    up one step at a time.  Targets that need more than 2**53 indicators raise
+    :class:`NoSolutionError`: beyond that binary64 cannot tell p from p-1.
     """
     if not (math.isfinite(target_srmr) and target_srmr > 0.0):
         raise ValidationError(f"target SRMR must be positive, got {target_srmr!r}")
@@ -125,19 +113,22 @@ def min_p_for_srmr(target_srmr: float, r: float) -> int:
         raise ValidationError(f"need r in [0, 1), got {r!r}")
     if srmr_parallel_closed_form(r, 2) <= target_srmr:
         return 2
-    # The closed form is monotone decreasing in p for p >= 3 (it rises from
-    # p=2 to p=3), so once p=2 fails, bracketing plus bisection is sound.
-    hi = 4
-    while srmr_parallel_closed_form(r, hi) > target_srmr:
-        hi *= 2
-    lo = hi // 2  # closed_form(lo) > target
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if srmr_parallel_closed_form(r, mid) <= target_srmr:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    # Plain multiplication overflows to inf where ** would raise.
+    x = (1.0 - r) / target_srmr
+    estimate = 2.0 * x * x
+    if estimate > 2**53:
+        raise NoSolutionError(
+            f"target SRMR {target_srmr:g} at r={r:g} needs more than 2**53 "
+            "indicators, where binary64 cannot tell p from p-1"
+        )
+    # p=2 failed, so the estimate exceeds 8, and the downward walk stops by p=4
+    # because the value at p=3 lies above the value at p=2.
+    p = math.ceil(estimate)
+    while srmr_parallel_closed_form(r, p) > target_srmr:
+        p += 1
+    while srmr_parallel_closed_form(r, p - 1) <= target_srmr:
+        p -= 1
+    return p
 
 
 @dataclass(frozen=True)

@@ -205,6 +205,24 @@ class TestFitCheckCommand:
         assert captured.out == ""
         assert "error" in captured.err
 
+    @pytest.mark.parametrize("bad", ["matrix", "loadings"])
+    def test_non_utf8_input_fails_on_stderr(self, tmp_path, capsys, bad):
+        matrix, loadings = tmp_path / "m.txt", tmp_path / "l.txt"
+        write_matrix(matrix, build_parallel_sigma(ParallelSpec(0.3, 3)))
+        loadings.write_text("0.5\n0.5\n0.5\n")
+        (matrix if bad == "matrix" else loadings).write_bytes(b"\xff\xfe0.5\n")
+        assert main(["fit-check", "--matrix", str(matrix), "--loadings", str(loadings)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("scorefit: error:")
+
+    def test_unwritable_out_path_fails_on_stderr(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.txt"
+        assert main(["fit-check", "--demo", "stai", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("scorefit: error: cannot write")
+
     def test_reflective_requires_loadings(self, tmp_path, capsys):
         path = tmp_path / "eye.txt"
         write_matrix(path, build_parallel_sigma(ParallelSpec(0.0, 3)))
@@ -292,6 +310,14 @@ class TestClosedFormCommand:
     def test_unattainable_solve_r_is_an_error(self, capsys):
         assert main(["closed-form", "--solve-r", "0.9", "--p", "10"]) == 1
         assert "no r" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["1e-154", "1e-200", "5e-324"])
+    @pytest.mark.parametrize("r", ["0", "0.95"])
+    def test_tiny_min_p_target_is_an_error(self, capsys, target, r):
+        assert main(["closed-form", "--min-p", target, "--r", r]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("scorefit: error:")
 
 
 class TestSimulateCommand:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scorefit import (
     CorrelationMatrix,
@@ -46,6 +48,11 @@ class TestSrmr:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             srmr(CorrelationMatrix(np.eye(3)), CorrelationMatrix(np.eye(4)))
+
+    def test_empty_matrices(self):
+        empty = CorrelationMatrix(np.zeros((0, 0)))
+        with pytest.raises(DimensionError, match="0x0"):
+            srmr(empty, empty)
 
     def test_recomputable_from_residuals(self, stai_sigma):
         report = pipeline_srmr(0.3, 7)
@@ -125,17 +132,17 @@ class TestSolveR:
 
     def test_round_trip_example(self):
         target = srmr_parallel_closed_form(0.3, 10)
-        assert solve_r_for_srmr(target, 10) == pytest.approx(0.3, abs=1e-9)
+        assert solve_r_for_srmr(target, 10) == pytest.approx(0.3, abs=1e-12)
 
     @pytest.mark.parametrize("p", [2, 7, 33, 150])
     def test_round_trip_identity_on_grid(self, p):
         for r in np.linspace(0.001, 0.999, 23):
             target = srmr_parallel_closed_form(r, p)
-            assert abs(solve_r_for_srmr(target, p) - r) < 1e-8
+            assert abs(solve_r_for_srmr(target, p) - r) < 1e-12
 
     def test_residual_tolerance(self):
         r = solve_r_for_srmr(0.09, 60)
-        assert abs(srmr_parallel_closed_form(r, 60) - 0.09) < 1e-9
+        assert abs(srmr_parallel_closed_form(r, 60) - 0.09) < 1e-12
 
     def test_errors(self):
         with pytest.raises(ValidationError):
@@ -169,6 +176,36 @@ class TestMinP:
             min_p_for_srmr(0.0, 0.5)
         with pytest.raises(ValidationError):
             min_p_for_srmr(0.09, 1.0)
+
+    def test_matches_brute_force_scan(self):
+        rng = np.random.default_rng(5)
+        for r in rng.uniform(0.0, 0.99, 12):
+            values = [srmr_parallel_closed_form(r, p) for p in range(2, 2001)]
+            for target in np.exp(rng.uniform(math.log(values[-1]), math.log(0.6), 25)):
+                expected = next(p for p, value in enumerate(values, start=2) if value <= target)
+                assert min_p_for_srmr(target, r) == expected
+
+    @pytest.mark.parametrize("target", [1e-154, 1e-200, 5e-324])
+    @pytest.mark.parametrize("r", [0.0, 0.95])
+    def test_beyond_two_to_the_53_is_no_solution(self, target, r):
+        with pytest.raises(NoSolutionError, match=r"2\*\*53"):
+            min_p_for_srmr(target, r)
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    r=st.floats(0.0, 1.0, exclude_max=True),
+    p=st.integers(2, 10**6),
+)
+def test_inverses_round_trip_and_min_p_is_minimal(r, p):
+    target = srmr_parallel_closed_form(r, p)
+    assert abs(solve_r_for_srmr(target, p) - r) < 1e-12
+    found = min_p_for_srmr(target, r)
+    assert srmr_parallel_closed_form(r, found) <= target
+    if found > 2:
+        # Decreasing from p=3 on, so failing at 2 and at found-1 rules out all below.
+        assert srmr_parallel_closed_form(r, 2) > target
+        assert srmr_parallel_closed_form(r, found - 1) > target
 
 
 class TestRequiredRCurve:
