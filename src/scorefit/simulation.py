@@ -1,11 +1,13 @@
 """Monte Carlo study of the unit-weighted-scale SRMR over one-factor populations.
 
-For each (sample size, mean loading, scale length) cell, samples are drawn from
-a one-factor population (constant or variable loadings), the sample correlation
-matrix is computed, and the SRMR of the single unit-weighted scale is recorded.
-Every replication owns a private random substream derived from the master seed
-and the cell parameters, so results are identical no matter how many workers
-execute them or which subset of cells a config requests.
+For each (sample size, mean loading, scale length) cell, sample correlation
+matrices of n cases from a one-factor population (constant or variable
+loadings) are drawn through Bartlett's decomposition of the Wishart scatter
+matrix, and the SRMR of the single unit-weighted scale is computed for a whole
+block of replications at once.  Each cell owns a random stream derived from the
+master seed and the cell parameters, read in replication order, so results are
+identical no matter how many workers execute them or which subset of cells a
+config requests, and raising the replication count only appends replications.
 """
 
 from __future__ import annotations
@@ -16,10 +18,14 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateSampleError, ScorefitError, ValidationError
+from .errors import ValidationError
 from .fit import srmr
-from .model import CorrelationMatrix
+from .model import PIVOT_TOL, CorrelationMatrix, cholesky_lower
 from .scoring import ScoreWeights, score_model_implied_sigma
+
+# Replications per block are sized so that one block's (reps, p, p) arrays hold
+# about this many elements each.
+_BLOCK_ELEMENTS = 2**14
 
 
 class LoadingPattern(Enum):
@@ -33,8 +39,8 @@ class SimulationConfig:
 
     Defaults follow the published design: n in {150, 300, 900}, mean loadings
     in {.2, .4, .6, .8}, p in {6, 12, 24}.  The desk-scale default of 1000
-    replications keeps a full run under a few minutes; raise to 5000 for the
-    full-scale study.
+    replications runs one pattern of the default grid in under a second on a
+    2-vCPU machine; raise to 5000 for the full-scale study.
     """
 
     sample_sizes: tuple[int, ...] = (150, 300, 900)
@@ -110,13 +116,56 @@ def population_correlation(loadings) -> CorrelationMatrix:
     return CorrelationMatrix(sigma)
 
 
+def _bartlett_correlations(
+    chol: np.ndarray,
+    n: int,
+    reps: int,
+    normals: np.random.Generator,
+    chisq: np.random.Generator,
+) -> np.ndarray:
+    # Bartlett's decomposition: the scatter matrix of n cases is
+    # Wishart_{n-1}(L L'), drawn exactly as L T T' L' with T lower triangular,
+    # sqrt(chi2(n-1-i)) on the diagonal and N(0, 1) below it.  Each generator
+    # is read in replication order, so successive calls continue one stream.
+    p = chol.shape[0]
+    rows, cols = np.tril_indices(p, -1)
+    diag = np.arange(p)
+    t = np.zeros((reps, p, p))
+    t[:, rows, cols] = normals.standard_normal((reps, rows.size))
+    t[:, diag, diag] = np.sqrt(chisq.chisquare(n - 1 - diag, size=(reps, p)))
+    a = chol @ t
+    scatter = a @ a.transpose(0, 2, 1)
+    d = scatter[:, diag, diag]
+    return scatter / np.sqrt(d[:, :, None] * d[:, None, :])
+
+
+def _unit_srmr(corr: np.ndarray) -> np.ndarray:
+    # SRMR of the single unit-weighted scale for each matrix of a (reps, p, p)
+    # stack.  The implied matrix is c c' / s with c = R 1 and s = 1'R 1, and the
+    # diagonal is double-weighted as in fit._srmr_from_residuals.  A matrix
+    # whose scale variance s fails the Cholesky pivot check, or whose value is
+    # not finite, gets NaN: these are the cases where score_model_implied_sigma
+    # or CorrelationMatrix raises.
+    reps, p, _ = corr.shape
+    c = corr.sum(axis=2)
+    s = c.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        resid = corr - c[:, :, None] * c[:, None, :] / s[:, None, None]
+        diag = np.diagonal(resid, axis1=1, axis2=2)
+        total = (resid * resid).reshape(reps, p * p).sum(axis=1) + (diag * diag).sum(axis=1)
+        values = np.sqrt(total / (p * (p + 1)))
+    values[~(s > PIVOT_TOL) | ~np.isfinite(values)] = np.nan
+    return values
+
+
 def sample_correlation(loadings, n: int, rng: np.random.Generator) -> CorrelationMatrix:
     """Sample correlation matrix of n cases from a one-factor population.
 
-    Cases are generated as x_j = lambda_j * f + sqrt(1 - lambda_j^2) * e_j with
-    f and e_j independent standard normals.  A sample with a zero-variance
-    indicator is redrawn once; a second failure raises
-    :class:`DegenerateSampleError`.
+    The scatter matrix of the n cases is drawn from its Wishart distribution
+    with Bartlett's decomposition, scaled by the Cholesky factor of the
+    population correlation ``lambda lambda' + diag(1 - lambda^2)``, at a cost
+    that does not grow with n.  Loadings of magnitude one in two or more places
+    make that population singular and raise :class:`SingularMatrixError`.
     """
     lam = np.asarray(loadings, dtype=float)
     p = lam.size
@@ -124,57 +173,59 @@ def sample_correlation(loadings, n: int, rng: np.random.Generator) -> Correlatio
         raise ValidationError("standardized loadings must lie in [-1, 1]")
     if n < p + 1:
         raise ValidationError(f"need n >= p + 1 = {p + 1}, got n={n}")
-    unique_sd = np.sqrt(1.0 - lam * lam)
-    for attempt in range(2):
-        draws = rng.standard_normal((n, p + 1))
-        x = draws[:, :1] * lam + draws[:, 1:] * unique_sd
-        centered = x - x.mean(axis=0)
-        ssq = np.einsum("ij,ij->j", centered, centered)
-        if (ssq > 0.0).all():
-            break
-    else:
-        raise DegenerateSampleError(
-            "an indicator had zero sample variance in two consecutive draws"
-        )
-    scale = np.sqrt(ssq)
-    corr = (centered.T @ centered) / np.outer(scale, scale)
-    return CorrelationMatrix(corr)
+    chol = cholesky_lower(population_correlation(lam).values)
+    return CorrelationMatrix(_bartlett_correlations(chol, n, 1, rng, rng)[0])
 
 
-def _replication_rng(seed: int, pattern: LoadingPattern, n: int, l: float, p: int, rep: int):
-    # One substream per (cell, replication) pair, keyed by the cell parameters
-    # themselves: the stream does not depend on which other cells run.
+def _cell_generators(
+    seed: int, pattern: LoadingPattern, n: int, l: float, p: int
+) -> tuple[np.random.Generator, np.random.Generator]:
+    # One stream per cell, keyed by the cell parameters themselves (the loading
+    # by its exact bit pattern), so it does not depend on which other cells
+    # run.  Its two children feed the normals and the chi-square draws.
     key = (
         int(pattern is LoadingPattern.VARIABLE),
         int(n),
         int(p),
-        int(round(l * 10_000)),
-        int(rep),
+        int(np.float64(l).view(np.uint64)),
     )
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+    cell = np.random.SeedSequence(seed, spawn_key=key)
+    normals, chisq = cell.spawn(2)
+    return (
+        np.random.Generator(np.random.PCG64(normals)),
+        np.random.Generator(np.random.PCG64(chisq)),
+    )
+
+
+def _replication_srmrs(config: SimulationConfig, n: int, l: float, p: int) -> np.ndarray:
+    # Unit-weighted SRMR of each replication of one cell in order, NaN where
+    # one is dropped.  Blocks bound memory; they read the cell's two streams in
+    # sequence, so the values do not depend on the block size, and raising the
+    # replication count extends the sequence without changing its start.
+    pattern = config.loading_pattern
+    chol = cholesky_lower(population_correlation(population_loadings(l, p, pattern)).values)
+    normals, chisq = _cell_generators(config.seed, pattern, n, l, p)
+    reps = config.replications
+    block = max(1, _BLOCK_ELEMENTS // (p * p))
+    return np.concatenate(
+        [
+            _unit_srmr(_bartlett_correlations(chol, n, min(block, reps - start), normals, chisq))
+            for start in range(0, reps, block)
+        ]
+    )
 
 
 def _run_cell(config: SimulationConfig, n: int, l: float, p: int) -> SimulationCell:
     pattern = config.loading_pattern
-    lam = population_loadings(l, p, pattern)
-    weights = ScoreWeights.unit(p)
-    population = population_correlation(lam)
+    population = population_correlation(population_loadings(l, p, pattern))
     population_srmr = srmr(
-        population, score_model_implied_sigma(population, weights)
+        population, score_model_implied_sigma(population, ScoreWeights.unit(p))
     ).srmr
 
-    values = []
-    for rep in range(config.replications):
-        rng = _replication_rng(config.seed, pattern, n, l, p, rep)
-        try:
-            sample = sample_correlation(lam, n, rng)
-            implied = score_model_implied_sigma(sample, weights)
-            values.append(srmr(sample, implied).srmr)
-        except ScorefitError:
-            continue  # recorded via replications_used
-    if values:
-        arr = np.asarray(values)
-        mean, sd = float(arr.mean()), float(arr.std())
+    values = _replication_srmrs(config, n, l, p)
+    values = values[~np.isnan(values)]  # dropped replications: see replications_used
+    if values.size:
+        mean, sd = float(values.mean()), float(values.std())
     else:
         mean = sd = float("nan")
     return SimulationCell(
@@ -185,16 +236,16 @@ def _run_cell(config: SimulationConfig, n: int, l: float, p: int) -> SimulationC
         population_srmr=population_srmr,
         mean_srmr_s=mean,
         sd_srmr_s=sd,
-        replications_used=len(values),
+        replications_used=int(values.size),
     )
 
 
 def run_simulation(config: SimulationConfig, workers: int = 1) -> list[SimulationCell]:
     """All design cells of the config, in (n, l, p) order.
 
-    ``workers`` only parallelizes execution across cells; because every
-    replication has its own substream and the aggregation order is fixed, the
-    returned table is identical for any worker count.
+    ``workers`` only parallelizes execution across cells; because every cell
+    has its own stream and the aggregation order is fixed, the returned table
+    is identical for any worker count.
     """
     grid = [
         (n, l, p)

@@ -1,15 +1,22 @@
 import numpy as np
 import pytest
 
+import scorefit.simulation as simulation
 from scorefit import (
+    CorrelationMatrix,
+    ScoreWeights,
+    ScorefitError,
+    SingularMatrixError,
     ValidationError,
     build_parallel_sigma,
     population_correlation,
     population_loadings,
     sample_correlation,
+    score_model_implied_sigma,
+    srmr,
     srmr_parallel_closed_form,
 )
-from scorefit.model import ParallelSpec
+from scorefit.model import ParallelSpec, cholesky_lower
 from scorefit.simulation import (
     LoadingPattern,
     SimulationConfig,
@@ -87,6 +94,102 @@ class TestSampleCorrelation:
     def test_too_small_sample_rejected(self):
         with pytest.raises(ValidationError):
             sample_correlation(np.full(5, 0.5), 5, rng_for(4))
+
+    @pytest.mark.parametrize("p, n", [(2, 3), (6, 7), (24, 25), (24, 900)])
+    def test_standardized_and_symmetric(self, p, n):
+        values = sample_correlation(np.linspace(0.1, 0.9, p), n, rng_for(p)).values
+        assert np.array_equal(values, values.T)
+        assert np.array_equal(np.diag(values), np.ones(p))
+        assert np.abs(values).max() <= 1.0
+
+    @pytest.mark.parametrize("loadings", [[1.0, 1.0, 0.5], [-1.0, 0.3, 1.0]])
+    def test_two_unit_loadings_make_a_singular_population(self, loadings):
+        with pytest.raises(SingularMatrixError) as caught:
+            sample_correlation(loadings, 50, rng_for(6))
+        assert isinstance(caught.value, ScorefitError)
+
+    def test_one_unit_loading_is_still_positive_definite(self):
+        assert sample_correlation([1.0, 0.5, 0.5], 50, rng_for(7)).is_standardized
+
+    def test_null_population_matches_exact_correlation_moment(self):
+        # With uncorrelated indicators r^2 ~ Beta(1/2, (n-2)/2), so E[r^2] is
+        # 1/(n-1); a chi-square degree of freedom off by one moves it by 1/12.
+        n, reps = 4, 20_000
+        rng = rng_for(8)
+        draws = simulation._bartlett_correlations(np.eye(3), n, reps, rng, rng)
+        off = draws[:, [0, 0, 1], [1, 2, 2]]
+        assert abs((off * off).mean() - 1.0 / (n - 1)) < 0.01
+
+    def test_matches_a_sampler_of_raw_cases(self):
+        # Reference: n cases x = lambda f + sqrt(1 - lambda^2) e, correlated
+        # directly.  At n = p + 2 any error in the Wishart draw shows in the
+        # SRMR distribution; both estimates must agree within 4 standard errors.
+        lam, n, reps = np.full(6, 0.6), 8, 4000
+        rng = rng_for(9)
+        raw = []
+        for _ in range(reps):
+            draws = rng.standard_normal((n, lam.size + 1))
+            x = draws[:, :1] * lam + draws[:, 1:] * np.sqrt(1.0 - lam * lam)
+            raw.append(np.corrcoef(x, rowvar=False))
+        reference = simulation._unit_srmr(np.array(raw))
+        chol = cholesky_lower(population_correlation(lam).values)
+        bartlett = simulation._unit_srmr(
+            simulation._bartlett_correlations(chol, n, reps, rng, rng)
+        )
+        se_mean = np.hypot(reference.std(), bartlett.std()) / np.sqrt(reps)
+        se_sd = np.hypot(reference.std(), bartlett.std()) / np.sqrt(2 * reps)
+        assert abs(reference.mean() - bartlett.mean()) < 4 * se_mean
+        assert abs(reference.std() - bartlett.std()) < 4 * se_sd
+
+
+class TestReplicationKernel:
+    def test_batched_srmr_matches_the_pipeline(self):
+        rng = rng_for(10)
+        for p in (2, 6, 12, 24):
+            chol = cholesky_lower(population_correlation(np.linspace(0.2, 0.8, p)).values)
+            stack = simulation._bartlett_correlations(chol, 150, 30, rng, rng)
+            batched = simulation._unit_srmr(stack)
+            for values, value in zip(stack, batched):
+                sample = CorrelationMatrix(values)
+                implied = score_model_implied_sigma(sample, ScoreWeights.unit(p))
+                assert abs(value - srmr(sample, implied).srmr) < 1e-12
+
+    def test_undefined_replications_are_nan(self):
+        valid = np.eye(3)
+        # Scale variance 1'R 1 = 6e-13, below the Cholesky pivot tolerance.
+        off = -0.5 + 1e-13
+        zero_scale = np.array([[1.0, off, off], [off, 1.0, off], [off, off, 1.0]])
+        not_finite = np.full((3, 3), np.nan)
+        values = simulation._unit_srmr(np.array([valid, zero_scale, not_finite]))
+        assert np.isfinite(values[0])
+        assert np.isnan(values[1:]).all()
+
+    def test_more_replications_extend_the_sequence(self):
+        # At p = 24 a block is shorter than 40 replications, so the prefix
+        # crosses a block boundary in both runs.
+        assert simulation._BLOCK_ELEMENTS // (24 * 24) < 40
+        config = SimulationConfig(replications=40, seed=11)
+        short = simulation._replication_srmrs(config, 300, 0.4, 24)
+        longer = simulation._replication_srmrs(
+            SimulationConfig(replications=100, seed=11), 300, 0.4, 24
+        )
+        assert short.shape == (40,)
+        assert np.array_equal(short, longer[:40])
+
+    @pytest.mark.parametrize("elements", [1, 1000, 2**20])
+    def test_block_size_does_not_change_values(self, monkeypatch, elements):
+        config = SimulationConfig(replications=60, seed=12)
+        expected = simulation._replication_srmrs(config, 150, 0.6, 12)
+        monkeypatch.setattr(simulation, "_BLOCK_ELEMENTS", elements)
+        assert np.array_equal(simulation._replication_srmrs(config, 150, 0.6, 12), expected)
+
+    def test_nearby_loadings_get_different_streams(self):
+        # The loading is keyed by its exact bits; 1e-4 rounding merged these two.
+        for a, b in zip(
+            simulation._cell_generators(5, LoadingPattern.CONSTANT, 150, 0.4, 6),
+            simulation._cell_generators(5, LoadingPattern.CONSTANT, 150, 0.40001, 6),
+        ):
+            assert not np.array_equal(a.standard_normal(4), b.standard_normal(4))
 
 
 class TestSimulationConfig:
