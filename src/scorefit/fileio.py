@@ -8,6 +8,7 @@ anything else must be a full square matrix.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -88,7 +89,7 @@ def _tokenize(source: MatrixFile, lines: list[tuple[int, str]]) -> list[tuple[in
             rows.append((lineno, [float(tok) for tok in tokens]))
         except ValueError as exc:
             raise MatrixParseError(f"{source.path}, line {lineno}: {exc}") from exc
-        if not all(np.isfinite(rows[-1][1])):
+        if not all(map(math.isfinite, rows[-1][1])):
             raise MatrixParseError(f"{source.path}, line {lineno}: non-finite value")
     return rows
 

@@ -8,6 +8,7 @@ layouts are part of the CLI contract and documented in the README.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -28,6 +29,25 @@ def _num(value) -> str:
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return repr(int(value))
     return repr(float(value))
+
+
+def _entry_texts(resid: np.ndarray, fmt: Callable[[float], str]) -> list[list[str]]:
+    """Row-major texts of every entry of a float64 matrix, each distinct entry formatted once.
+
+    A matrix that is symmetric bit for bit (so 0.0 and -0.0 differ) has only
+    its upper triangle formatted; anything else is formatted entry by entry.
+    """
+    bits = resid.view(np.uint64)
+    if not np.array_equal(bits, bits.T):
+        return [list(map(fmt, row)) for row in resid.tolist()]
+    # Mirroring is exact for srmr() residuals: both operands were symmetrized
+    # as (M + M')/2, and IEEE subtraction keeps that symmetry.
+    p = len(resid)
+    upper = np.triu_indices(p)
+    texts = np.array(list(map(fmt, resid[upper].tolist())), dtype=object)
+    index = np.empty((p, p), dtype=np.intp)
+    index[upper] = index.T[upper] = np.arange(len(texts))
+    return texts[index].tolist()
 
 
 @dataclass(frozen=True)
@@ -74,8 +94,8 @@ class ReportDocument:
             if self.include_residuals:
                 for label, report in self.fits:
                     lines.append(f"residuals ({label})")
-                    for row in report.residuals:
-                        lines.append("  " + " ".join(f"{v:7.4f}" for v in row))
+                    for row in _entry_texts(report.residuals, "{:7.4f}".format):
+                        lines.append("  " + " ".join(row))
         if self.values:
             lines.append("result")
             width = max(len(k) for k, _ in self.values)
@@ -112,9 +132,11 @@ class ReportDocument:
                     lines.append(f"warning,{label},,,{_csv_quote(message)}")
             if self.include_residuals:
                 for label, report in self.fits:
-                    for i, row in enumerate(report.residuals):
-                        for j, value in enumerate(row):
-                            lines.append(f"residual,{label},{i},{j},{_num(value)}")
+                    texts = _entry_texts(report.residuals, repr)
+                    columns = [f",{j}," for j in range(report.residuals.shape[1])]
+                    for i, row in enumerate(texts):
+                        prefix = f"residual,{label},{i}"
+                        lines.append(prefix + ("\n" + prefix).join(map(str.__add__, columns, row)))
         if self.values:
             lines.append("quantity,value")
             for key, value in self.values:

@@ -85,6 +85,13 @@ class TestParseMatrix:
         assert parsed.values[19, 18] == 0.443
         assert np.array_equal(parsed.values, stai_sigma.values)
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_its_line(self, tmp_path, token):
+        path = tmp_path / "m.txt"
+        path.write_text(f"* comment\n1.0\n0.5, 1.0\n0.2, {token}, 1.0\n")
+        with pytest.raises(MatrixParseError, match=r"line 4: non-finite value"):
+            parse_matrix(path)
+
     def test_one_by_one(self, tmp_path):
         path = tmp_path / "one.txt"
         path.write_text("1.0\n")

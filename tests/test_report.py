@@ -1,0 +1,160 @@
+"""Residual blocks of the table and CSV renderers against a per-entry oracle.
+
+The oracle is the original renderer loop: one formatted line per residual
+entry, ``residual,{label},{i},{j},{_num(v)}`` in CSV and ``f"{v:7.4f}"`` per
+table cell.  The documents under test carry inputs and fits only, so the
+residual lines are the last lines of either format.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from scorefit import (
+    CorrelationMatrix,
+    FactorModel,
+    FitReport,
+    ModelKind,
+    ScoreWeights,
+    factor_implied_sigma,
+    fs_implied_sigma,
+    score_model_implied_sigma,
+    srmr,
+)
+from scorefit.cli import main
+from scorefit.report import OutputFormat, ReportDocument, _entry_texts, _num
+
+
+def _oracle_lines(fits, fmt: OutputFormat) -> list[str]:
+    lines = []
+    for label, report in fits:
+        if fmt is OutputFormat.CSV:
+            for i, row in enumerate(report.residuals):
+                for j, value in enumerate(row):
+                    lines.append(f"residual,{label},{i},{j},{_num(value)}")
+        else:
+            lines.append(f"residuals ({label})")
+            for row in report.residuals:
+                lines.append("  " + " ".join(f"{v:7.4f}" for v in row))
+    return lines
+
+
+def _oracle_render(doc: ReportDocument) -> str:
+    head = dataclasses.replace(doc, include_residuals=False).render()
+    return head + "".join(line + "\n" for line in _oracle_lines(doc.fits, doc.fmt))
+
+
+def _assert_renders_like_oracle(fits, inputs=()):
+    for fmt in (OutputFormat.CSV, OutputFormat.TABLE):
+        doc = ReportDocument(inputs=inputs, fits=tuple(fits), include_residuals=True, fmt=fmt)
+        assert doc.render() == _oracle_render(doc)
+
+
+def _bitwise_symmetric(resid: np.ndarray) -> bool:
+    bits = resid.view(np.uint64)
+    return bool(np.array_equal(bits, bits.T))
+
+
+def _stai_fits(sigma, lam):
+    model = FactorModel.from_standardized_loadings(lam)
+    unit = score_model_implied_sigma(sigma, ScoreWeights.unit(sigma.p))
+    return (
+        ("unit_weighted", srmr(sigma, unit, ModelKind.UNIT_WEIGHTED)),
+        ("factor_score", srmr(sigma, fs_implied_sigma(sigma, model), ModelKind.FACTOR_SCORE)),
+        ("reflective", srmr(sigma, factor_implied_sigma(model), ModelKind.REFLECTIVE_FACTOR)),
+    )
+
+
+def _symmetric(p: int, seed: int) -> np.ndarray:
+    a = np.random.default_rng(seed).standard_normal((p, p))
+    return (a + a.T) / 2.0
+
+
+class TestRendererEquivalence:
+    def test_stai_fits(self, stai_sigma, stai_lam):
+        fits = _stai_fits(stai_sigma, stai_lam)
+        assert all(_bitwise_symmetric(report.residuals) for _, report in fits)
+        _assert_renders_like_oracle(fits, inputs=(("matrix", "demo:stai"), ("p", "20")))
+
+    @pytest.mark.parametrize("p", [1, 2, 27])
+    def test_random_symmetric(self, p):
+        resid = _symmetric(p, seed=p)
+        assert _bitwise_symmetric(resid)
+        _assert_renders_like_oracle([("a", FitReport(0.5, resid)), ("bb", FitReport(0.25, -resid))])
+
+    def test_asymmetric_falls_back_to_every_entry(self):
+        resid = np.random.default_rng(5).standard_normal((6, 6))
+        assert not _bitwise_symmetric(resid)
+        _assert_renders_like_oracle([("asym", FitReport(1.0, resid))])
+
+    def test_signed_zeros_are_not_mirrored(self):
+        resid = _symmetric(4, seed=9)
+        resid[1, 3], resid[3, 1] = 0.0, -0.0
+        assert not _bitwise_symmetric(resid)
+        fits = [("z", FitReport(0.1, resid))]
+        _assert_renders_like_oracle(fits)
+        doc = ReportDocument(fits=tuple(fits), include_residuals=True, fmt=OutputFormat.CSV)
+        lines = doc.render().splitlines()
+        assert "residual,z,1,3,0.0" in lines
+        assert "residual,z,3,1,-0.0" in lines
+
+    def test_exponent_form_values(self):
+        resid = np.array([
+            [1e-05, 1e16, 5e-324],
+            [1e16, -1e-05, 0.5],
+            [5e-324, 0.5, -1e16],
+        ])
+        fits = [("e", FitReport(0.0, resid))]
+        _assert_renders_like_oracle(fits)
+        doc = ReportDocument(fits=tuple(fits), include_residuals=True, fmt=OutputFormat.CSV)
+        lines = doc.render().splitlines()
+        for line in ("residual,e,0,0,1e-05", "residual,e,1,0,1e+16", "residual,e,2,0,5e-324"):
+            assert line in lines
+
+    def test_symmetric_nan(self):
+        resid = _symmetric(3, seed=3)
+        resid[0, 2] = resid[2, 0] = np.nan
+        assert _bitwise_symmetric(resid)
+        _assert_renders_like_oracle([("n", FitReport(float("nan"), resid))])
+
+
+class TestEntryTexts:
+    @staticmethod
+    def _counting(values):
+        def fmt(value):
+            values.append(value)
+            return repr(value)
+        return fmt
+
+    def test_symmetric_formats_upper_triangle_once(self):
+        seen = []
+        texts = _entry_texts(_symmetric(5, seed=1), self._counting(seen))
+        assert len(seen) == 5 * 6 // 2
+        assert all(type(v) is float for v in seen)
+        assert len(texts) == 5 and all(len(row) == 5 for row in texts)
+
+    def test_asymmetric_formats_every_entry(self):
+        seen = []
+        _entry_texts(np.arange(9.0).reshape(3, 3), self._counting(seen))
+        assert seen == list(np.arange(9.0))
+
+    def test_srmr_residuals_are_bitwise_symmetric(self):
+        for p in (2, 7, 40):
+            data = np.random.default_rng(p).standard_normal((p, 3 * p))
+            sigma = CorrelationMatrix(np.corrcoef(data))
+            report = srmr(sigma, score_model_implied_sigma(sigma, ScoreWeights.unit(p)))
+            assert _bitwise_symmetric(report.residuals)
+
+
+class TestFitCheckResidualOutput:
+    @pytest.mark.parametrize("fmt", [OutputFormat.CSV, OutputFormat.TABLE])
+    def test_demo_matches_oracle_on_library_fits(self, fmt, capsys, stai_sigma, stai_lam):
+        argv = ["fit-check", "--demo", "stai", "--reflective", "--residuals", "--format", fmt.value]
+        assert main(argv) == 0
+        expected = _oracle_lines(_stai_fits(stai_sigma, stai_lam), fmt)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-len(expected):] == expected
+        marker = "residual," if fmt is OutputFormat.CSV else "residuals ("
+        first = next(k for k, line in enumerate(lines) if line.startswith(marker))
+        assert len(lines) - first == len(expected)
