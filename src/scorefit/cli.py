@@ -147,8 +147,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="worker threads, one cell each; affects speed only, never the results "
-        "(2 workers: about 1.2x on the default grid at 1000 reps on 2 vCPUs)",
+        help="accepted for compatibility and ignored: cells run on one thread, "
+        "because 2 threads gave under 1.2x on 2 vCPUs (default grid, 200 reps)",
     )
     _add_output_flags(sim, "csv")
     sim.set_defaults(handler=_cmd_simulate)
@@ -159,7 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_fit_check(args) -> ReportDocument:
     inputs = []
     if args.demo:
-        (sigma, parse_warnings) = _captured(datasets.stai_correlation_matrix)
+        sigma, parse_warnings = datasets.stai_correlation_matrix(), ()
         checksums = datasets.stai_checksums()
         inputs.append(("matrix", f"demo:{args.demo}"))
         inputs.append(("matrix_sha256", checksums["matrix"]))
@@ -274,7 +274,7 @@ def _cmd_simulate(args) -> ReportDocument:
             replications=args.reps,
             seed=args.seed,
         )
-        tables.append(run_simulation(config, workers=args.workers))
+        tables.append(run_simulation(config))
     if len(tables) == 2:
         # Interleave so each (n, l, p) design row shows both patterns adjacently.
         cells = [cell for pair in zip(*tables) for cell in pair]

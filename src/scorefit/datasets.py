@@ -11,6 +11,7 @@ import hashlib
 
 import numpy as np
 
+from .fileio import MatrixFile, _assemble, _tokenize
 from .model import CorrelationMatrix
 
 # Lower triangle including the diagonal; row i holds i entries.
@@ -43,24 +44,11 @@ STAI_LOADINGS = (
 )
 
 
-def _parse_lower_triangle(text: str) -> np.ndarray:
-    rows = [
-        [float(tok) for tok in line.replace(",", " ").split()]
-        for line in text.strip().splitlines()
-    ]
-    p = len(rows)
-    full = np.zeros((p, p))
-    for i, row in enumerate(rows):
-        if len(row) != i + 1:
-            raise AssertionError(f"row {i + 1} has {len(row)} entries, expected {i + 1}")
-        full[i, : i + 1] = row
-    # Mirror across the diagonal: M + M' - I for a unit-diagonal triangle.
-    return full + full.T - np.eye(p)
-
-
 def stai_correlation_matrix() -> CorrelationMatrix:
-    """The bundled 20 x 20 indicator correlation matrix."""
-    return CorrelationMatrix(_parse_lower_triangle(STAI_LOWER_TRIANGLE))
+    """The bundled 20 x 20 indicator correlation matrix, read by the file parser."""
+    source = MatrixFile("demo:stai")
+    lines = list(enumerate(STAI_LOWER_TRIANGLE.splitlines(), start=1))
+    return CorrelationMatrix(_assemble(source, _tokenize(source, lines)))
 
 
 def stai_loadings() -> np.ndarray:

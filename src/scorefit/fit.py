@@ -40,12 +40,14 @@ class FitReport:
         object.__setattr__(self, "warnings", tuple(self.warnings))
 
 
-def _srmr_from_residuals(resid: np.ndarray) -> float:
-    # Diagonal residuals are double-weighted: all p^2 squared entries plus the
-    # p squared diagonal entries, averaged over p(p+1) and square-rooted.
-    p = resid.shape[0]
-    total = float(np.sum(resid * resid) + np.sum(np.diag(resid) ** 2))
-    return math.sqrt(total / (p * (p + 1)))
+def _srmr_from_residuals(resid: np.ndarray) -> np.ndarray:
+    # SRMR of each residual matrix of a (..., p, p) stack.  Diagonal residuals
+    # are double-weighted: all p^2 squared entries plus the p squared diagonal
+    # entries, averaged over p(p+1) and square-rooted.
+    p = resid.shape[-1]
+    diag = np.diagonal(resid, axis1=-2, axis2=-1)
+    total = (resid * resid).sum(axis=(-2, -1)) + (diag * diag).sum(axis=-1)
+    return np.sqrt(total / (p * (p + 1)))
 
 
 def srmr(
@@ -66,7 +68,7 @@ def srmr(
     if sigma.p == 0:
         raise DimensionError("SRMR needs at least one indicator, got 0x0 matrices")
     resid = sigma.values - sigma_model.values
-    return FitReport(_srmr_from_residuals(resid), resid, model_kind, tuple(warnings))
+    return FitReport(float(_srmr_from_residuals(resid)), resid, model_kind, tuple(warnings))
 
 
 def srmr_parallel_closed_form(r: float, p: int) -> float:
@@ -149,14 +151,20 @@ def required_r_curve(
     """Required r for each (p, level) pair, in ascending (p, level) order.
 
     Unattainable combinations are emitted as data points with
-    ``required_r=None`` rather than raised as errors.
+    ``required_r=None`` rather than raised as errors.  An empty level list or
+    p range raises :class:`ValidationError`.
     """
     levels = sorted(float(level) for level in srmr_levels)
+    if not levels:
+        raise ValidationError("the curve needs at least one SRMR level")
     for level in levels:
         if not (math.isfinite(level) and level > 0.0):
             raise ValidationError(f"SRMR levels must be positive, got {level!r}")
+    ps = sorted(set(int(p) for p in p_range))
+    if not ps:
+        raise ValidationError("the curve needs a non-empty p range")
     points = []
-    for p in sorted(set(int(p) for p in p_range)):
+    for p in ps:
         for level in levels:
             try:
                 required = solve_r_for_srmr(level, p)

@@ -6,20 +6,24 @@ loadings) are drawn through Bartlett's decomposition of the Wishart scatter
 matrix, and the SRMR of the single unit-weighted scale is computed for a whole
 block of replications at once.  Each cell owns a random stream derived from the
 master seed and the cell parameters, read in replication order, so results are
-identical no matter how many workers execute them or which subset of cells a
-config requests, and raising the replication count only appends replications.
+identical no matter which subset of cells a config requests, and raising the
+replication count only appends replications.
+
+Cells run one after another on one thread.  A thread pool over cells was
+removed: on a 2-vCPU machine 2 threads ran the benchmark's default grid at 200
+replications only 1.08x to 1.18x as fast as one, below the 1.2x it had to
+reach.  The CLI still accepts ``--workers`` for compatibility; it has no effect.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import ValidationError
-from .fit import srmr
+from .fit import _srmr_from_residuals, srmr
 from .model import PIVOT_TOL, CorrelationMatrix, cholesky_lower
 from .scoring import ScoreWeights, score_model_implied_sigma
 
@@ -141,19 +145,14 @@ def _bartlett_correlations(
 
 def _unit_srmr(corr: np.ndarray) -> np.ndarray:
     # SRMR of the single unit-weighted scale for each matrix of a (reps, p, p)
-    # stack.  The implied matrix is c c' / s with c = R 1 and s = 1'R 1, and the
-    # diagonal is double-weighted as in fit._srmr_from_residuals.  A matrix
-    # whose scale variance s fails the Cholesky pivot check, or whose value is
-    # not finite, gets NaN: these are the cases where score_model_implied_sigma
-    # or CorrelationMatrix raises.
-    reps, p, _ = corr.shape
+    # stack.  The implied matrix is c c' / s with c = R 1 and s = 1'R 1.  A
+    # matrix whose scale variance s fails the Cholesky pivot check, or whose
+    # value is not finite, gets NaN: these are the cases where
+    # score_model_implied_sigma or CorrelationMatrix raises.
     c = corr.sum(axis=2)
     s = c.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        resid = corr - c[:, :, None] * c[:, None, :] / s[:, None, None]
-        diag = np.diagonal(resid, axis1=1, axis2=2)
-        total = (resid * resid).reshape(reps, p * p).sum(axis=1) + (diag * diag).sum(axis=1)
-        values = np.sqrt(total / (p * (p + 1)))
+        values = _srmr_from_residuals(corr - c[:, :, None] * c[:, None, :] / s[:, None, None])
     values[~(s > PIVOT_TOL) | ~np.isfinite(values)] = np.nan
     return values
 
@@ -240,20 +239,17 @@ def _run_cell(config: SimulationConfig, n: int, l: float, p: int) -> SimulationC
     )
 
 
-def run_simulation(config: SimulationConfig, workers: int = 1) -> list[SimulationCell]:
-    """All design cells of the config, in (n, l, p) order.
+def run_simulation(config: SimulationConfig) -> list[SimulationCell]:
+    """All design cells of the config, in (n, l, p) order, run on one thread.
 
-    ``workers`` only parallelizes execution across cells; because every cell
-    has its own stream and the aggregation order is fixed, the returned table
-    is identical for any worker count.
+    Every cell has its own stream, so a cell's values do not depend on which
+    other cells the config requests.  There is no worker count: threads over
+    cells did not reach 1.2x on the benchmark (module docstring), and the
+    CLI's ``--workers`` is accepted and ignored.
     """
-    grid = [
-        (n, l, p)
+    return [
+        _run_cell(config, n, l, p)
         for n in config.sample_sizes
         for l in config.mean_loadings
         for p in config.indicator_counts
     ]
-    if workers <= 1:
-        return [_run_cell(config, n, l, p) for n, l, p in grid]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda cell: _run_cell(config, *cell), grid))

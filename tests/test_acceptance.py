@@ -225,7 +225,7 @@ def test_simulation_full_scale_tightens_means(table2):
         config = SimulationConfig(
             loading_pattern=pattern, replications=5000, seed=FULL_SCALE_SEED
         )
-        for cell in run_simulation(config, workers=4):
+        for cell in run_simulation(config):
             expected = table2[(cell.n, cell.l, cell.p)]
             worst_mean = max(worst_mean, abs(cell.mean_srmr_s - expected[column]))
     _verdict(

@@ -74,6 +74,13 @@ class TestEmbeddedDataset:
         assert stai_sigma.values[1, 0] == 0.159
         assert stai_sigma.values[19, 18] == 0.443
 
+    def test_matrix_equals_the_file_parser_bitwise(self, tmp_path):
+        path = tmp_path / "stai.txt"
+        path.write_text(datasets.STAI_LOWER_TRIANGLE)
+        assert np.array_equal(
+            datasets.stai_correlation_matrix().values, parse_matrix(path).values
+        )
+
 
 class TestParseMatrix:
     def test_lower_triangle_auto_detect(self, tmp_path, stai_sigma):
@@ -314,6 +321,13 @@ class TestClosedFormCommand:
         assert main(["closed-form"]) == 1
         assert main(["closed-form", "--r", "0.5"]) == 1
 
+    @pytest.mark.parametrize("levels", [",", ""])
+    def test_empty_curve_is_an_error(self, capsys, levels):
+        assert main(["closed-form", "--curve", levels, "--p-range", "4:6"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("scorefit: error:")
+
     def test_unattainable_solve_r_is_an_error(self, capsys):
         assert main(["closed-form", "--solve-r", "0.9", "--p", "10"]) == 1
         assert "no r" in capsys.readouterr().err
@@ -353,9 +367,10 @@ class TestSimulateCommand:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_worker_count_does_not_change_bytes(self, tmp_path):
+        # --workers is accepted for compatibility and has no effect.
         out1, out2 = tmp_path / "w1.csv", tmp_path / "w3.csv"
-        main(self.ARGS + ["--workers", "1", "--out", str(out1)])
-        main(self.ARGS + ["--workers", "3", "--out", str(out2)])
+        assert main(self.ARGS + ["--workers", "1", "--out", str(out1)]) == 0
+        assert main(self.ARGS + ["--workers", "3", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_invalid_config_is_usage_error(self, capsys):

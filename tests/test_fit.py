@@ -58,6 +58,19 @@ class TestSrmr:
         report = pipeline_srmr(0.3, 7)
         assert abs(report.srmr - _srmr_from_residuals(report.residuals)) < 1e-12
 
+    @pytest.mark.parametrize("p", [1, 2, 24])
+    def test_stacked_residuals_match_srmr_bitwise(self, p):
+        # The kernel scores a (reps, p, p) stack exactly as srmr() scores each
+        # slice, bit for bit: simulate and fit-check share it.
+        rng = np.random.default_rng(p)
+        pairs = []
+        for _ in range(7):
+            a, b = rng.uniform(-1.0, 1.0, (2, p, p))
+            pairs.append((CorrelationMatrix(a + a.T), CorrelationMatrix(b + b.T)))
+        stack = np.array([a.values - b.values for a, b in pairs])
+        expected = np.array([srmr(a, b).srmr for a, b in pairs])
+        assert np.array_equal(_srmr_from_residuals(stack), expected)
+
     def test_metadata_carried(self, stai_sigma):
         report = srmr(stai_sigma, stai_sigma, ModelKind.UNIT_WEIGHTED, ["note"])
         assert report.model_kind is ModelKind.UNIT_WEIGHTED
@@ -235,3 +248,9 @@ class TestRequiredRCurve:
     def test_rejects_bad_levels(self):
         with pytest.raises(ValidationError):
             required_r_curve([0.06, -0.01], range(4, 10))
+
+    def test_rejects_empty_levels_or_p_range(self):
+        with pytest.raises(ValidationError, match="SRMR level"):
+            required_r_curve([], range(4, 10))
+        with pytest.raises(ValidationError, match="p range"):
+            required_r_curve([0.06], range(4, 4))

@@ -233,10 +233,6 @@ class TestRunSimulation:
             assert c.replications_used == 40
             assert c.sd_srmr_s >= 0.0
 
-    def test_worker_count_never_changes_results(self):
-        config = SimulationConfig(loading_pattern=LoadingPattern.VARIABLE, **SMALL)
-        assert run_simulation(config, workers=1) == run_simulation(config, workers=4)
-
     def test_same_seed_same_table(self):
         config = SimulationConfig(**SMALL)
         assert run_simulation(config) == run_simulation(config)
