@@ -43,18 +43,16 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+def _list_of(convert):
+    """argparse type: comma-separated tokens, each passed through convert; blanks skipped."""
 
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(convert(tok) for tok in text.split(",") if tok.strip())
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
 
-def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+    return parse
 
 
 def _p_range(text: str) -> range:
@@ -119,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--min-p", type=float, metavar="TARGET", help="find smallest p reaching TARGET at --r")
     mode.add_argument(
         "--curve",
-        type=_float_list,
+        type=_list_of(float),
         metavar="L1,L2,...",
         help="required r for each SRMR level over --p-range",
     )
@@ -132,9 +130,9 @@ def _build_parser() -> argparse.ArgumentParser:
     closed.set_defaults(handler=_cmd_closed_form)
 
     sim = sub.add_parser("simulate", help="Monte Carlo study of the unit-weighted-scale SRMR")
-    sim.add_argument("--n", type=_int_list, default=(150, 300, 900), metavar="N1,N2,...")
-    sim.add_argument("--l", type=_float_list, default=(0.2, 0.4, 0.6, 0.8), metavar="L1,L2,...")
-    sim.add_argument("--p", type=_int_list, default=(6, 12, 24), metavar="P1,P2,...")
+    sim.add_argument("--n", type=_list_of(int), default=(150, 300, 900), metavar="N1,N2,...")
+    sim.add_argument("--l", type=_list_of(float), default=(0.2, 0.4, 0.6, 0.8), metavar="L1,L2,...")
+    sim.add_argument("--p", type=_list_of(int), default=(6, 12, 24), metavar="P1,P2,...")
     sim.add_argument(
         "--pattern",
         choices=["constant", "variable", "both"],
@@ -157,60 +155,42 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_fit_check(args) -> ReportDocument:
-    inputs = []
     if args.demo:
+        source, checksums = f"demo:{args.demo}", datasets.stai_checksums()
         sigma, parse_warnings = datasets.stai_correlation_matrix(), ()
-        checksums = datasets.stai_checksums()
-        inputs.append(("matrix", f"demo:{args.demo}"))
-        inputs.append(("matrix_sha256", checksums["matrix"]))
-        loadings = datasets.stai_loadings() if args.loadings is None else None
-        if loadings is not None:
-            inputs_loadings_sha = checksums["loadings"]
+        inputs = [("matrix", source), ("matrix_sha256", checksums["matrix"])]
     else:
         path = Path(args.matrix)
-        (sigma, parse_warnings) = _captured(parse_matrix, path)
-        inputs.append(("matrix", str(path)))
-        inputs.append(("matrix_sha256", _sha256(path)))
-        loadings = None
+        sigma, parse_warnings = _captured(parse_matrix, path)
+        inputs = [("matrix", str(path)), ("matrix_sha256", _sha256(path))]
     inputs.append(("p", str(sigma.p)))
 
     if args.loadings is not None:
-        loadings_path = Path(args.loadings)
-        loadings = parse_loadings(loadings_path, expected_p=sigma.p)
-        inputs.append(("loadings", str(loadings_path)))
-        inputs.append(("loadings_sha256", _sha256(loadings_path)))
-    elif loadings is not None:
-        inputs.append(("loadings", f"demo:{args.demo}"))
-        inputs.append(("loadings_sha256", inputs_loadings_sha))
+        path = Path(args.loadings)
+        loadings = parse_loadings(path, expected_p=sigma.p)
+        inputs += [("loadings", str(path)), ("loadings_sha256", _sha256(path))]
+    elif args.demo:
+        loadings = datasets.stai_loadings()
+        inputs += [("loadings", source), ("loadings_sha256", checksums["loadings"])]
+    else:
+        loadings = None
 
     if args.reflective and loadings is None:
         raise ValidationError("--reflective requires loadings")
 
     fits = []
-    implied, caught = _captured(score_model_implied_sigma, sigma, ScoreWeights.unit(sigma.p))
-    fits.append(
-        (
-            "unit_weighted",
-            srmr(sigma, implied, ModelKind.UNIT_WEIGHTED, parse_warnings + caught),
-        )
-    )
+
+    def fit(label, kind, implied_sigma, *operands):
+        implied, caught = _captured(implied_sigma, *operands)
+        fits.append((label, srmr(sigma, implied, kind, parse_warnings + caught)))
+
+    unit = ScoreWeights.unit(sigma.p)
+    fit("unit_weighted", ModelKind.UNIT_WEIGHTED, score_model_implied_sigma, sigma, unit)
     if loadings is not None:
         model = FactorModel.from_standardized_loadings(loadings)
-        implied, caught = _captured(fs_implied_sigma, sigma, model)
-        fits.append(
-            (
-                "factor_score",
-                srmr(sigma, implied, ModelKind.FACTOR_SCORE, parse_warnings + caught),
-            )
-        )
+        fit("factor_score", ModelKind.FACTOR_SCORE, fs_implied_sigma, sigma, model)
         if args.reflective:
-            implied, caught = _captured(factor_implied_sigma, model)
-            fits.append(
-                (
-                    "reflective",
-                    srmr(sigma, implied, ModelKind.REFLECTIVE_FACTOR, parse_warnings + caught),
-                )
-            )
+            fit("reflective", ModelKind.REFLECTIVE_FACTOR, factor_implied_sigma, model)
 
     return ReportDocument(
         inputs=tuple(inputs),

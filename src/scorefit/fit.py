@@ -21,7 +21,6 @@ class ModelKind(Enum):
     FACTOR_SCORE = "factor_score"
     UNIT_WEIGHTED = "unit_weighted"
     REFLECTIVE_FACTOR = "reflective_factor"
-    CLOSED_FORM_PARALLEL = "closed_form_parallel"
 
 
 @dataclass(frozen=True)
@@ -77,10 +76,18 @@ def srmr_parallel_closed_form(r: float, p: int) -> float:
     The residual has p(p-1) off-diagonal entries of size (1-r)/p and a
     double-weighted diagonal of size (1-r)(1-1/p), which factorises exactly as
     ``(1-r) * K(p)`` with ``K(p) = sqrt((p-1)(2p-1)/(p+1)) / p``.  Exactly zero
-    at r = 1; K rises from p=2 to p=3, then decreases towards zero.
+    at r = 1; K rises from p=2 to p=3, then decreases towards zero.  Beyond
+    about p = 9e307 the radicand leaves the binary64 range, and such a p raises
+    :class:`ValidationError`.
     """
     spec = ParallelSpec(r, p)
-    k = math.sqrt((spec.p - 1) * (2 * spec.p - 1) / (spec.p + 1)) / spec.p
+    try:
+        k = math.sqrt((spec.p - 1) * (2 * spec.p - 1) / (spec.p + 1)) / spec.p
+    except OverflowError:
+        raise ValidationError(
+            f"p is too large: (p-1)(2p-1)/(p+1) exceeds the binary64 range "
+            f"for this {spec.p.bit_length()}-bit p"
+        ) from None
     return (1.0 - spec.r) * k
 
 

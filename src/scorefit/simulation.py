@@ -4,10 +4,11 @@ For each (sample size, mean loading, scale length) cell, sample correlation
 matrices of n cases from a one-factor population (constant or variable
 loadings) are drawn through Bartlett's decomposition of the Wishart scatter
 matrix, and the SRMR of the single unit-weighted scale is computed for a whole
-block of replications at once.  Each cell owns a random stream derived from the
-master seed and the cell parameters, read in replication order, so results are
-identical no matter which subset of cells a config requests, and raising the
-replication count only appends replications.
+block of replications at once.  The population SRMR of a cell comes from the
+same kernel, applied to the population matrix alone.  Each cell owns a random
+stream derived from the master seed and the cell parameters, read in
+replication order, so results are identical no matter which subset of cells a
+config requests, and raising the replication count only appends replications.
 
 Cells run one after another on one thread.  A thread pool over cells was
 removed: on a 2-vCPU machine 2 threads ran the benchmark's default grid at 200
@@ -23,9 +24,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import ValidationError
-from .fit import _srmr_from_residuals, srmr
+from .fit import _srmr_from_residuals
 from .model import PIVOT_TOL, CorrelationMatrix, cholesky_lower
-from .scoring import ScoreWeights, score_model_implied_sigma
 
 # Replications per block are sized so that one block's (reps, p, p) arrays hold
 # about this many elements each.
@@ -65,14 +65,9 @@ class SimulationConfig:
         if not (0 <= self.seed < 2**64):
             raise ValidationError("seed must fit in an unsigned 64-bit integer")
         for l in self.mean_loadings:
-            if not (0.0 < l < 1.0):
-                raise ValidationError(f"mean loading {l} outside (0, 1)")
-            if self.loading_pattern is LoadingPattern.VARIABLE and not (
-                0.0 < l - 0.10 and l + 0.10 < 1.0
-            ):
-                raise ValidationError(
-                    f"variable pattern needs {l} +/- 0.10 inside (0, 1)"
-                )
+            # population_loadings states the loading rules; p = 2 passes its
+            # p checks, so an odd p still fails only when the cell runs.
+            population_loadings(l, 2, self.loading_pattern)
         max_p = max(self.indicator_counts)
         for n in self.sample_sizes:
             if n < max_p + 1:
@@ -196,14 +191,14 @@ def _cell_generators(
     )
 
 
-def _replication_srmrs(config: SimulationConfig, n: int, l: float, p: int) -> np.ndarray:
+def _replication_srmrs(config: SimulationConfig, chol: np.ndarray, n: int, l: float) -> np.ndarray:
     # Unit-weighted SRMR of each replication of one cell in order, NaN where
-    # one is dropped.  Blocks bound memory; they read the cell's two streams in
-    # sequence, so the values do not depend on the block size, and raising the
-    # replication count extends the sequence without changing its start.
-    pattern = config.loading_pattern
-    chol = cholesky_lower(population_correlation(population_loadings(l, p, pattern)).values)
-    normals, chisq = _cell_generators(config.seed, pattern, n, l, p)
+    # one is dropped; chol is the Cholesky factor of the cell's population.
+    # Blocks bound memory; they read the cell's two streams in sequence, so the
+    # values do not depend on the block size, and raising the replication
+    # count extends the sequence without changing its start.
+    p = chol.shape[0]
+    normals, chisq = _cell_generators(config.seed, config.loading_pattern, n, l, p)
     reps = config.replications
     block = max(1, _BLOCK_ELEMENTS // (p * p))
     return np.concatenate(
@@ -216,12 +211,10 @@ def _replication_srmrs(config: SimulationConfig, n: int, l: float, p: int) -> np
 
 def _run_cell(config: SimulationConfig, n: int, l: float, p: int) -> SimulationCell:
     pattern = config.loading_pattern
-    population = population_correlation(population_loadings(l, p, pattern))
-    population_srmr = srmr(
-        population, score_model_implied_sigma(population, ScoreWeights.unit(p))
-    ).srmr
-
-    values = _replication_srmrs(config, n, l, p)
+    population = population_correlation(population_loadings(l, p, pattern)).values
+    # The population is scored by the replications' kernel, as a stack of one.
+    population_srmr = float(_unit_srmr(population[None])[0])
+    values = _replication_srmrs(config, cholesky_lower(population), n, l)
     values = values[~np.isnan(values)]  # dropped replications: see replications_used
     if values.size:
         mean, sd = float(values.mean()), float(values.std())

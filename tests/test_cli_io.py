@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -243,6 +244,47 @@ class TestFitCheckCommand:
         assert main(["fit-check", "--matrix", str(path), "--reflective"]) == 1
         assert "loadings" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source, loadings, reflective", [
+        ("file", False, False),
+        ("file", True, False),
+        ("file", True, True),
+        ("demo", False, True),
+        ("demo", True, False),
+    ])
+    def test_input_echo_order_and_checksums(self, tmp_path, capsys, source, loadings, reflective):
+        p = 20 if source == "demo" else 4
+        matrix, loadings_file = tmp_path / "m.txt", tmp_path / "l.txt"
+        write_matrix(matrix, build_parallel_sigma(ParallelSpec(0.36, p)))
+        loadings_file.write_text("0.6\n" * p)
+        argv = ["fit-check", "--format", "csv"]
+        argv += ["--demo", "stai"] if source == "demo" else ["--matrix", str(matrix)]
+        argv += ["--loadings", str(loadings_file)] if loadings else []
+        argv += ["--reflective"] if reflective else []
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        if source == "demo":
+            expected = [("matrix", "demo:stai"), ("matrix_sha256", STAI_MATRIX_SHA256), ("p", "20")]
+        else:
+            expected = [
+                ("matrix", str(matrix)),
+                ("matrix_sha256", hashlib.sha256(matrix.read_bytes()).hexdigest()),
+                ("p", "4"),
+            ]
+        if loadings:
+            expected += [
+                ("loadings", str(loadings_file)),
+                ("loadings_sha256", hashlib.sha256(loadings_file.read_bytes()).hexdigest()),
+            ]
+        elif source == "demo":
+            expected += [("loadings", "demo:stai"), ("loadings_sha256", STAI_LOADINGS_SHA256)]
+        echoed = [tuple(line[2:].split("=", 1)) for line in out.splitlines() if line.startswith("# ")]
+        assert echoed == expected
+        models = [line.split(",")[1] for line in out.splitlines() if line.startswith("srmr,")]
+        has_loadings = loadings or source == "demo"
+        assert models == (
+            ["unit_weighted"] + ["factor_score"] * has_loadings + ["reflective"] * reflective
+        )
+
     def test_warnings_do_not_change_exit_status(self, tmp_path, capsys):
         path = tmp_path / "ones.txt"
         path.write_text("1 1 1\n1 1 1\n1 1 1\n")
@@ -286,6 +328,10 @@ class TestFitCheckCommand:
         assert np.array_equal(np.array(entry["residuals"]), expected.residuals)
 
 
+# 1 followed by 400 zeros: an int argparse accepts, far beyond binary64.
+HUGE_P = "1" + "0" * 400
+
+
 class TestClosedFormCommand:
     def test_plain_evaluation(self, capsys):
         assert main(["closed-form", "--r", "0.64", "--p", "24", "--format", "json"]) == 0
@@ -321,12 +367,55 @@ class TestClosedFormCommand:
         assert main(["closed-form"]) == 1
         assert main(["closed-form", "--r", "0.5"]) == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--curve", "0.1"], "--curve requires --p-range"),
+        (["--min-p", "0.1"], "--min-p requires --r"),
+    ])
+    def test_missing_companion_flag_is_an_error(self, capsys, argv, message):
+        assert main(["closed-form", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"scorefit: error: {message}\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("4", "expected start:stop[:step], got '4'"),
+        ("1:2:3:4", "expected start:stop[:step], got '1:2:3:4'"),
+        ("a:b", "invalid literal for int() with base 10: 'a'"),
+        ("4:6:x", "invalid literal for int() with base 10: 'x'"),
+        ("6:4", "empty or descending range '6:4'"),
+        ("4:6:0", "empty or descending range '4:6:0'"),
+    ])
+    def test_bad_p_range_is_a_usage_error(self, capsys, text, message):
+        with pytest.raises(SystemExit) as exited:
+            main(["closed-form", "--curve", "0.1", "--p-range", text])
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"scorefit closed-form: error: argument --p-range: {message}\n")
+
     @pytest.mark.parametrize("levels", [",", ""])
     def test_empty_curve_is_an_error(self, capsys, levels):
         assert main(["closed-form", "--curve", levels, "--p-range", "4:6"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("scorefit: error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["--r", "0.5", "--p", HUGE_P],
+        ["--solve-r", "0.01", "--p", HUGE_P],
+        ["--curve", "0.01", "--p-range", f"{HUGE_P}:{HUGE_P}"],
+    ])
+    def test_p_beyond_binary64_is_an_error(self, capsys, argv):
+        assert main(["closed-form", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("scorefit: error: p is too large")
+
+    def test_huge_representable_p_is_evaluated(self, capsys):
+        assert main(["closed-form", "--r", "0.5", "--p", str(10**300), "--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines()[-2:] == [
+            "quantity,value", "srmr,7.071067811865476e-151",
+        ]
 
     def test_unattainable_solve_r_is_an_error(self, capsys):
         assert main(["closed-form", "--solve-r", "0.9", "--p", "10"]) == 1
@@ -372,6 +461,28 @@ class TestSimulateCommand:
         assert main(self.ARGS + ["--workers", "1", "--out", str(out1)]) == 0
         assert main(self.ARGS + ["--workers", "3", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("command, flag, text, message", [
+        ("simulate", "--n", "150,x", "invalid literal for int() with base 10: 'x'"),
+        ("simulate", "--n", "1.5", "invalid literal for int() with base 10: '1.5'"),
+        ("simulate", "--p", "6,,y", "invalid literal for int() with base 10: 'y'"),
+        ("simulate", "--l", "0.2,abc", "could not convert string to float: 'abc'"),
+        ("closed-form", "--curve", "0.1,zz", "could not convert string to float: 'zz'"),
+    ])
+    def test_bad_list_token_is_a_usage_error(self, capsys, command, flag, text, message):
+        with pytest.raises(SystemExit) as exited:
+            main([command, flag, text])
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"scorefit {command}: error: argument {flag}: {message}\n")
+
+    def test_list_flags_skip_empty_tokens(self, capsys):
+        argv = ["simulate", "--n", "150,", "--l", ",0.4", "--p", "6", "--reps", "2",
+                "--pattern", "constant", "--format", "csv"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[:3] == ["# n=150", "# l=0.4", "# p=6"]
 
     def test_invalid_config_is_usage_error(self, capsys):
         assert main(["simulate", "--n", "10", "--l", "0.4", "--p", "24", "--reps", "2"]) == 1

@@ -133,6 +133,21 @@ class TestClosedForm:
             assert srmr_parallel_closed_form(r, 10**8) < 1e-3 * srmr_parallel_closed_form(r, 10)
             assert srmr_parallel_closed_form(r, 10**7) < 1.2e-3 * srmr_parallel_closed_form(r, 10)
 
+    def test_p_beyond_binary64_is_an_error(self):
+        # (p-1)(2p-1)/(p+1) is about 2p, which leaves the binary64 range near
+        # p = 9e307; every entry point that evaluates K(p) must say so.
+        for huge in (10**308, 2**1023, 10**400):
+            with pytest.raises(ValidationError, match="too large"):
+                srmr_parallel_closed_form(0.5, huge)
+            with pytest.raises(ValidationError, match="too large"):
+                solve_r_for_srmr(0.01, huge)
+            with pytest.raises(ValidationError, match="too large"):
+                required_r_curve([0.01], [huge])
+
+    def test_huge_representable_p_still_evaluates(self):
+        assert srmr_parallel_closed_form(0.5, 10**300) == 7.071067811865476e-151
+        assert srmr_parallel_closed_form(0.5, 10**307) == 2.2360679774997897e-154
+
 
 class TestSolveR:
     def test_bracketed_by_direct_evaluation(self):

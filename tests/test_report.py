@@ -1,12 +1,16 @@
-"""Residual blocks of the table and CSV renderers against a per-entry oracle.
+"""Report rendering: residual blocks against a per-entry oracle, other sections verbatim.
 
 The oracle is the original renderer loop: one formatted line per residual
 entry, ``residual,{label},{i},{j},{_num(v)}`` in CSV and ``f"{v:7.4f}"`` per
 table cell.  The documents under test carry inputs and fits only, so the
 residual lines are the last lines of either format.
+
+The scalar, curve, simulation and warning sections are checked as exact text
+rendered from hand-built documents, so no numerical change elsewhere moves them.
 """
 
 import dataclasses
+import textwrap
 
 import numpy as np
 import pytest
@@ -23,7 +27,9 @@ from scorefit import (
     srmr,
 )
 from scorefit.cli import main
+from scorefit.fit import CurvePoint
 from scorefit.report import OutputFormat, ReportDocument, _entry_texts, _num
+from scorefit.simulation import LoadingPattern, SimulationCell
 
 
 def _oracle_lines(fits, fmt: OutputFormat) -> list[str]:
@@ -158,3 +164,157 @@ class TestFitCheckResidualOutput:
         marker = "residual," if fmt is OutputFormat.CSV else "residuals ("
         first = next(k for k, line in enumerate(lines) if line.startswith(marker))
         assert len(lines) - first == len(expected)
+
+
+def _text(block: str) -> str:
+    return textwrap.dedent(block).lstrip("\n")
+
+
+class TestSections:
+    VALUES = dict(inputs=(("r", "0.64"), ("p", "24")), values=(("srmr", 0.098612345), ("min_p", 157)))
+    CURVE = dict(
+        inputs=(("levels", "0.06,0.51"), ("p_range", "4:12:8")),
+        curve=(CurvePoint(4, 0.06, 0.8125), CurvePoint(4, 0.51, None), CurvePoint(12, 0.06, 0.75)),
+    )
+    CELLS = dict(
+        inputs=(("seed", "9"),),
+        cells=(
+            SimulationCell(150, 0.4, 6, LoadingPattern.CONSTANT, 0.39191835884530846, 0.39784, 0.015123, 25),
+            SimulationCell(900, 0.8, 24, LoadingPattern.VARIABLE, 0.105, float("nan"), float("nan"), 0),
+        ),
+    )
+    WARNINGS = dict(
+        fits=(
+            ("unit_weighted", FitReport(0.25, np.zeros((2, 2)), warnings=(
+                'smallest Cholesky pivot 1e-07, "near" singular', "two\nlines",
+            ))),
+            ("reflective", FitReport(0.5, np.zeros((2, 2)), warnings=("plain",))),
+        ),
+    )
+
+    @pytest.mark.parametrize("fmt, expected", [
+        (OutputFormat.TABLE, """
+            inputs
+              r  0.64
+              p  24
+            result
+              srmr   0.0986
+              min_p  157
+            """),
+        (OutputFormat.CSV, """
+            # r=0.64
+            # p=24
+            quantity,value
+            srmr,0.098612345
+            min_p,157
+            """),
+    ])
+    def test_closed_form_values(self, fmt, expected):
+        assert ReportDocument(**self.VALUES, fmt=fmt).render() == _text(expected)
+
+    @pytest.mark.parametrize("fmt, expected", [
+        (OutputFormat.TABLE, """
+            inputs
+              levels   0.06,0.51
+              p_range  4:12:8
+            required r by scale length and SRMR level
+              p     level   required_r
+              4     0.0600  0.8125
+              4     0.5100  unattainable
+              12    0.0600  0.7500
+            """),
+        (OutputFormat.JSON, """
+            {
+              "inputs": {
+                "levels": "0.06,0.51",
+                "p_range": "4:12:8"
+              },
+              "curve": [
+                {
+                  "p": 4,
+                  "srmr_level": 0.06,
+                  "required_r": 0.8125
+                },
+                {
+                  "p": 4,
+                  "srmr_level": 0.51,
+                  "required_r": null
+                },
+                {
+                  "p": 12,
+                  "srmr_level": 0.06,
+                  "required_r": 0.75
+                }
+              ]
+            }
+            """),
+    ])
+    def test_curve(self, fmt, expected):
+        assert ReportDocument(**self.CURVE, fmt=fmt).render() == _text(expected)
+
+    @pytest.mark.parametrize("fmt, expected", [
+        (OutputFormat.TABLE, """
+            inputs
+              seed  9
+            simulation
+              n     l     r     p    pattern   pop_srmr  mean_srmr_s  sd_srmr_s  reps
+              150   0.40  0.16  6    constant  0.3919    0.3978       0.0151     25
+              900   0.80  0.64  24   variable  0.1050    nan          nan        0
+            """),
+        (OutputFormat.JSON, """
+            {
+              "inputs": {
+                "seed": "9"
+              },
+              "cells": [
+                {
+                  "n": 150,
+                  "l": 0.4,
+                  "r": 0.16000000000000003,
+                  "p": 6,
+                  "pattern": "constant",
+                  "population_srmr": 0.39191835884530846,
+                  "mean_srmr_s": 0.39784,
+                  "sd_srmr_s": 0.015123,
+                  "replications_used": 25
+                },
+                {
+                  "n": 900,
+                  "l": 0.8,
+                  "r": 0.6400000000000001,
+                  "p": 24,
+                  "pattern": "variable",
+                  "population_srmr": 0.105,
+                  "mean_srmr_s": NaN,
+                  "sd_srmr_s": NaN,
+                  "replications_used": 0
+                }
+              ]
+            }
+            """),
+    ])
+    def test_simulation_cells(self, fmt, expected):
+        assert ReportDocument(**self.CELLS, fmt=fmt).render() == _text(expected)
+
+    @pytest.mark.parametrize("fmt, expected", [
+        (OutputFormat.TABLE, """
+            fit
+              unit_weighted  SRMR = 0.2500
+              reflective     SRMR = 0.5000
+              warning [unit_weighted]: smallest Cholesky pivot 1e-07, "near" singular
+              warning [unit_weighted]: two
+            lines
+              warning [reflective]: plain
+            """),
+        (OutputFormat.CSV, """
+            record,model,i,j,value
+            srmr,unit_weighted,,,0.25
+            srmr,reflective,,,0.5
+            warning,unit_weighted,,,"smallest Cholesky pivot 1e-07, ""near"" singular"
+            warning,unit_weighted,,,"two
+            lines"
+            warning,reflective,,,plain
+            """),
+    ])
+    def test_warning_rows(self, fmt, expected):
+        assert ReportDocument(**self.WARNINGS, fmt=fmt).render() == _text(expected)

@@ -28,6 +28,11 @@ def rng_for(seed):
     return np.random.default_rng(seed)
 
 
+def population_chol(l, p):
+    loadings = population_loadings(l, p, LoadingPattern.CONSTANT)
+    return cholesky_lower(population_correlation(loadings).values)
+
+
 class TestPopulationLoadings:
     def test_constant(self):
         assert np.array_equal(
@@ -169,9 +174,10 @@ class TestReplicationKernel:
         # crosses a block boundary in both runs.
         assert simulation._BLOCK_ELEMENTS // (24 * 24) < 40
         config = SimulationConfig(replications=40, seed=11)
-        short = simulation._replication_srmrs(config, 300, 0.4, 24)
+        chol = population_chol(0.4, 24)
+        short = simulation._replication_srmrs(config, chol, 300, 0.4)
         longer = simulation._replication_srmrs(
-            SimulationConfig(replications=100, seed=11), 300, 0.4, 24
+            SimulationConfig(replications=100, seed=11), chol, 300, 0.4
         )
         assert short.shape == (40,)
         assert np.array_equal(short, longer[:40])
@@ -179,9 +185,10 @@ class TestReplicationKernel:
     @pytest.mark.parametrize("elements", [1, 1000, 2**20])
     def test_block_size_does_not_change_values(self, monkeypatch, elements):
         config = SimulationConfig(replications=60, seed=12)
-        expected = simulation._replication_srmrs(config, 150, 0.6, 12)
+        chol = population_chol(0.6, 12)
+        expected = simulation._replication_srmrs(config, chol, 150, 0.6)
         monkeypatch.setattr(simulation, "_BLOCK_ELEMENTS", elements)
-        assert np.array_equal(simulation._replication_srmrs(config, 150, 0.6, 12), expected)
+        assert np.array_equal(simulation._replication_srmrs(config, chol, 150, 0.6), expected)
 
     def test_nearby_loadings_get_different_streams(self):
         # The loading is keyed by its exact bits; 1e-4 rounding merged these two.
@@ -232,6 +239,18 @@ class TestRunSimulation:
             assert abs(c.population_srmr - srmr_parallel_closed_form(c.l**2, c.p)) < 1e-12
             assert c.replications_used == 40
             assert c.sd_srmr_s >= 0.0
+
+    @pytest.mark.parametrize("pattern", list(LoadingPattern))
+    def test_population_srmr_matches_the_projection_pipeline(self, pattern):
+        config = SimulationConfig(
+            sample_sizes=(150,), mean_loadings=(0.2, 0.5, 0.8), indicator_counts=(2, 6, 24),
+            loading_pattern=pattern, replications=1, seed=3,
+        )
+        for c in run_simulation(config):
+            population = population_correlation(population_loadings(c.l, c.p, pattern))
+            implied = score_model_implied_sigma(population, ScoreWeights.unit(c.p))
+            expected = srmr(population, implied).srmr
+            assert abs(c.population_srmr - expected) <= 1e-15 * expected
 
     def test_same_seed_same_table(self):
         config = SimulationConfig(**SMALL)
