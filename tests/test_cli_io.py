@@ -1,3 +1,4 @@
+import ctypes
 import hashlib
 import json
 import math
@@ -487,3 +488,39 @@ class TestSimulateCommand:
     def test_invalid_config_is_usage_error(self, capsys):
         assert main(["simulate", "--n", "10", "--l", "0.4", "--p", "24", "--reps", "2"]) == 1
         assert "error" in capsys.readouterr().err
+
+
+class _MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks", "uordblks",
+        "fordblks", "keepcost")]
+
+
+def _glibc_mallinfo2():
+    try:
+        mallinfo2 = ctypes.CDLL(None).mallinfo2  # glibc 2.33 and later
+    except (AttributeError, OSError, TypeError):
+        return None
+    mallinfo2.argtypes, mallinfo2.restype = (), _MallInfo2
+    return mallinfo2
+
+
+@pytest.mark.skipif(_glibc_mallinfo2() is None, reason="needs glibc's mallinfo2")
+def test_main_returns_freed_heap_pages(capsys):
+    # Fixed thresholds keep a freed 24 MB block on the heap's top, as glibc's
+    # own raised thresholds did for a freed report; main hands it back.
+    mallinfo2, mallopt = _glibc_mallinfo2(), ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    m_trim_threshold, m_mmap_threshold = -1, -3  # glibc's <malloc.h>
+    try:
+        mallopt(m_mmap_threshold, 32 << 20)
+        mallopt(m_trim_threshold, 1 << 30)
+        block = bytearray(24 << 20)
+        del block
+        assert mallinfo2().keepcost >= 24 << 20
+        assert main(["closed-form", "--r", "0.5", "--p", "4"]) == 0
+        assert mallinfo2().keepcost < 1 << 20
+    finally:
+        mallopt(m_mmap_threshold, 128 << 10)  # glibc's defaults
+        mallopt(m_trim_threshold, 128 << 10)
+    capsys.readouterr()
