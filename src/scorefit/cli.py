@@ -200,8 +200,12 @@ def _cmd_fit_check(args) -> ReportDocument:
     fits = []
 
     def fit(label, kind, implied_sigma, *operands):
-        implied, caught = _captured(implied_sigma, *operands)
-        fits.append((label, srmr(sigma, implied, kind, parse_warnings + caught)))
+        try:
+            implied, caught = _captured(implied_sigma, *operands)
+            fits.append((label, srmr(sigma, implied, kind, parse_warnings + caught)))
+        except ScorefitError as exc:
+            # Name the model: a non-PD matrix fails only the models that invert it.
+            raise type(exc)(f"{label} model: {exc}") from exc
 
     unit = ScoreWeights.unit(sigma.p)
     fit("unit_weighted", ModelKind.UNIT_WEIGHTED, score_model_implied_sigma, sigma, unit)
@@ -263,9 +267,9 @@ def _cmd_simulate(args) -> ReportDocument:
         "variable": (LoadingPattern.VARIABLE,),
         "both": (LoadingPattern.CONSTANT, LoadingPattern.VARIABLE),
     }[args.pattern]
-    tables = []
-    for pattern in patterns:
-        config = SimulationConfig(
+    # Validate every pattern's config before any grid runs.
+    configs = [
+        SimulationConfig(
             sample_sizes=args.n,
             mean_loadings=args.l,
             indicator_counts=args.p,
@@ -273,7 +277,9 @@ def _cmd_simulate(args) -> ReportDocument:
             replications=args.reps,
             seed=args.seed,
         )
-        tables.append(run_simulation(config))
+        for pattern in patterns
+    ]
+    tables = [run_simulation(config) for config in configs]
     # Interleave so each (n, l, p) design row shows both patterns adjacently.
     cells = [cell for row in zip(*tables) for cell in row]
     inputs = (

@@ -74,6 +74,16 @@ def _data_lines(path: Path) -> list[tuple[int, str]]:
     return lines
 
 
+def _floats(tokens: list[str]) -> list[float]:
+    """The tokens as floats, blank tokens (as in ``1.0,,0.5``) skipped."""
+    try:
+        return list(map(float, tokens))
+    except ValueError:
+        # A blank or a bad token: convert again without the blanks, so that the
+        # error, if any, names the first bad token that is not blank.
+        return [float(tok) for tok in tokens if tok.strip()]
+
+
 def _tokenize(source: MatrixFile, lines: list[tuple[int, str]]) -> list[tuple[int, list[float]]]:
     # A statement-style trailing separator on a row is tolerated (and removed
     # before delimiter detection, so ";"-terminated comma rows stay comma rows).
@@ -84,9 +94,8 @@ def _tokenize(source: MatrixFile, lines: list[tuple[int, str]]) -> list[tuple[in
     delimiter = source.delimiter or _detect_delimiter([line for _, line in cleaned])
     rows = []
     for lineno, line in cleaned:
-        tokens = [t for t in line.split(delimiter.value) if t.strip() != ""]
         try:
-            rows.append((lineno, [float(tok) for tok in tokens]))
+            rows.append((lineno, _floats(line.split(delimiter.value))))
         except ValueError as exc:
             raise MatrixParseError(f"{source.path}, line {lineno}: {exc}") from exc
         if not all(map(math.isfinite, rows[-1][1])):

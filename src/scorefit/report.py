@@ -132,11 +132,17 @@ class ReportDocument:
                     lines.append(f"warning,{label},,,{_csv_quote(message)}")
             if self.include_residuals:
                 for label, report in self.fits:
-                    texts = _entry_texts(report.residuals, repr)
-                    columns = [f",{j}," for j in range(report.residuals.shape[1])]
-                    for i, row in enumerate(texts):
-                        prefix = f"residual,{label},{i}"
-                        lines.append(prefix + ("\n" + prefix).join(map(str.__add__, columns, row)))
+                    # One row of the matrix is one join over [head, ",j,", text] * p,
+                    # so no per-entry string is built beyond the entry texts.
+                    p = report.residuals.shape[1]
+                    slots = [""] * (3 * p)
+                    slots[1::3] = [f",{j}," for j in range(p)]
+                    for i, row in enumerate(_entry_texts(report.residuals, repr)):
+                        head = f"residual,{label},{i}"
+                        slots[0::3] = [f"\n{head}"] * p
+                        slots[0] = head
+                        slots[2::3] = row
+                        lines.append("".join(slots))
         if self.values:
             lines.append("quantity,value")
             for key, value in self.values:
@@ -156,7 +162,10 @@ class ReportDocument:
                     f"{_num(c.population_srmr)},{_num(c.mean_srmr_s)},"
                     f"{_num(c.sd_srmr_s)},{c.replications_used}"
                 )
-        return "\n".join(lines) + "\n"
+        # Join the final newline in: appending it would copy a report that can
+        # run to tens of MB.  An empty report is still a single newline.
+        lines.append("")
+        return "\n".join(lines) or "\n"
 
     # -- json ----------------------------------------------------------------
 

@@ -18,7 +18,7 @@ from scorefit import (
     parse_matrix,
     write_matrix,
 )
-from scorefit import datasets
+from scorefit import cli, datasets
 from scorefit.cli import main
 
 # Independent transcription of the bundled data, compared field by field
@@ -143,6 +143,30 @@ class TestParseMatrix:
         path.write_text("1.0 abc\nabc 1.0\n")
         with pytest.raises(MatrixParseError, match="line 1"):
             parse_matrix(path)
+
+    @pytest.mark.parametrize("text", [
+        "1.0,,0.5\n0.5,1.0\n",
+        "1.0, ,0.5\n0.5, 1.0\n",
+        "1.0;;0.5\n0.5;1.0\n",
+    ])
+    def test_blank_tokens_are_skipped(self, tmp_path, text):
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        assert parse_matrix(path).values.tolist() == [[1.0, 0.5], [0.5, 1.0]]
+
+    @pytest.mark.parametrize("text, lineno, token", [
+        ("1.0,,abc\n0.5,1.0\n", 1, "abc"),
+        ("1.0, 0.5\n, x1, ,1.0\n", 2, " x1"),
+        ("1.0;0.5\n0.5;;1.0;bad;\n", 2, "bad"),
+    ])
+    def test_bad_token_beside_a_blank_names_line_and_token(self, tmp_path, text, lineno, token):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(MatrixParseError) as raised:
+            parse_matrix(path)
+        assert str(raised.value) == (
+            f"{path}, line {lineno}: could not convert string to float: {token!r}"
+        )
 
     def test_require_unit_diagonal(self, tmp_path):
         path = tmp_path / "cov.txt"
@@ -292,6 +316,17 @@ class TestFitCheckCommand:
         assert main(["fit-check", "--matrix", str(path), "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert any("positive definite" in w for w in doc["fits"][0]["warnings"])
+
+    @pytest.mark.parametrize("reflective", [False, True])
+    def test_non_pd_matrix_with_loadings_names_the_failing_model(self, tmp_path, capsys, reflective):
+        matrix, loadings = tmp_path / "ones.txt", tmp_path / "l.txt"
+        matrix.write_text("1 1 1\n1 1 1\n1 1 1\n")
+        loadings.write_text("0.5\n0.5\n0.5\n")
+        argv = ["fit-check", "--matrix", str(matrix), "--loadings", str(loadings)]
+        assert main(argv + ["--reflective"] * reflective) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("scorefit: error: factor_score model: Cholesky pivot 1 is ")
 
     def test_table_output_shows_four_decimals(self, capsys):
         assert main(["fit-check", "--demo", "stai"]) == 0
@@ -488,6 +523,18 @@ class TestSimulateCommand:
     def test_invalid_config_is_usage_error(self, capsys):
         assert main(["simulate", "--n", "10", "--l", "0.4", "--p", "24", "--reps", "2"]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_every_pattern_is_validated_before_any_grid_runs(self, capsys, monkeypatch):
+        def run_simulation(config):
+            raise AssertionError("a grid ran before every config was validated")
+
+        monkeypatch.setattr(cli, "run_simulation", run_simulation)
+        assert main(["simulate", "--l", "0.2,0.95", "--pattern", "both"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "scorefit: error: variable pattern needs 0.95 +/- 0.10 inside (0, 1)\n"
+        )
 
 
 class _MallInfo2(ctypes.Structure):

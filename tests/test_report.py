@@ -318,3 +318,7 @@ class TestSections:
     ])
     def test_warning_rows(self, fmt, expected):
         assert ReportDocument(**self.WARNINGS, fmt=fmt).render() == _text(expected)
+
+    @pytest.mark.parametrize("fmt", [OutputFormat.TABLE, OutputFormat.CSV])
+    def test_empty_document_is_one_newline(self, fmt):
+        assert ReportDocument(fmt=fmt).render() == "\n"
