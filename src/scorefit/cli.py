@@ -205,7 +205,9 @@ def _cmd_fit_check(args) -> ReportDocument:
             fits.append((label, srmr(sigma, implied, kind, parse_warnings + caught)))
         except ScorefitError as exc:
             # Name the model: a non-PD matrix fails only the models that invert it.
-            raise type(exc)(f"{label} model: {exc}") from exc
+            # The exception keeps its class and attributes (such as pivot_index).
+            exc.args = (f"{label} model: {exc}",) + exc.args[1:]
+            raise
 
     unit = ScoreWeights.unit(sigma.p)
     fit("unit_weighted", ModelKind.UNIT_WEIGHTED, score_model_implied_sigma, sigma, unit)

@@ -12,6 +12,7 @@ from scorefit import (
     MatrixParseError,
     NotPositiveDefiniteWarning,
     ParallelSpec,
+    SingularMatrixError,
     ValidationError,
     build_parallel_sigma,
     parse_loadings,
@@ -327,6 +328,17 @@ class TestFitCheckCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("scorefit: error: factor_score model: Cholesky pivot 1 is ")
+
+    def test_model_label_keeps_the_error_class_and_pivot(self, tmp_path):
+        matrix, loadings = tmp_path / "ones.txt", tmp_path / "l.txt"
+        matrix.write_text("1 1 1\n1 1 1\n1 1 1\n")
+        loadings.write_text("0.5\n0.5\n0.5\n")
+        args = cli._build_parser().parse_args(
+            ["fit-check", "--matrix", str(matrix), "--loadings", str(loadings)]
+        )
+        with pytest.raises(SingularMatrixError, match="^factor_score model: Cholesky") as excinfo:
+            cli._cmd_fit_check(args)
+        assert excinfo.value.pivot_index == 1
 
     def test_table_output_shows_four_decimals(self, capsys):
         assert main(["fit-check", "--demo", "stai"]) == 0
