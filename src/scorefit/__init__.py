@@ -18,11 +18,10 @@ from .errors import (
     SingularMatrixError,
     ValidationError,
 )
-from .fileio import Delimiter, Layout, MatrixFile, parse_loadings, parse_matrix, write_matrix
+from .fileio import parse_loadings, parse_matrix, write_matrix
 from .fit import (
     CurvePoint,
     FitReport,
-    ModelKind,
     min_p_for_srmr,
     required_r_curve,
     solve_r_for_srmr,
@@ -63,15 +62,11 @@ __version__ = "0.1.0"
 __all__ = [
     "CorrelationMatrix",
     "CurvePoint",
-    "Delimiter",
     "DimensionError",
     "FactorModel",
     "FitReport",
-    "Layout",
     "LoadingPattern",
-    "MatrixFile",
     "MatrixParseError",
-    "ModelKind",
     "NearSingularMatrixWarning",
     "NoSolutionError",
     "NotPositiveDefiniteWarning",

@@ -20,7 +20,6 @@ from . import datasets
 from .errors import ScorefitError, ValidationError
 from .fileio import parse_loadings, parse_matrix
 from .fit import (
-    ModelKind,
     min_p_for_srmr,
     required_r_curve,
     solve_r_for_srmr,
@@ -199,10 +198,10 @@ def _cmd_fit_check(args) -> ReportDocument:
 
     fits = []
 
-    def fit(label, kind, implied_sigma, *operands):
+    def fit(label, implied_sigma, *operands):
         try:
             implied, caught = _captured(implied_sigma, *operands)
-            fits.append((label, srmr(sigma, implied, kind, parse_warnings + caught)))
+            fits.append((label, srmr(sigma, implied, parse_warnings + caught)))
         except ScorefitError as exc:
             # Name the model: a non-PD matrix fails only the models that invert it.
             # The exception keeps its class and attributes (such as pivot_index).
@@ -210,12 +209,12 @@ def _cmd_fit_check(args) -> ReportDocument:
             raise
 
     unit = ScoreWeights.unit(sigma.p)
-    fit("unit_weighted", ModelKind.UNIT_WEIGHTED, score_model_implied_sigma, sigma, unit)
+    fit("unit_weighted", score_model_implied_sigma, sigma, unit)
     if loadings is not None:
         model = FactorModel.from_standardized_loadings(loadings)
-        fit("factor_score", ModelKind.FACTOR_SCORE, fs_implied_sigma, sigma, model)
+        fit("factor_score", fs_implied_sigma, sigma, model)
         if args.reflective:
-            fit("reflective", ModelKind.REFLECTIVE_FACTOR, factor_implied_sigma, model)
+            fit("reflective", factor_implied_sigma, model)
 
     return ReportDocument(
         inputs=tuple(inputs),

@@ -11,7 +11,7 @@ import hashlib
 
 import numpy as np
 
-from .fileio import MatrixFile, _assemble, _tokenize
+from .fileio import _assemble, _tokenize
 from .model import CorrelationMatrix
 
 # Lower triangle including the diagonal; row i holds i entries.
@@ -46,9 +46,7 @@ STAI_LOADINGS = (
 
 def stai_correlation_matrix() -> CorrelationMatrix:
     """The bundled 20 x 20 indicator correlation matrix, read by the file parser."""
-    source = MatrixFile("demo:stai")
-    lines = list(enumerate(STAI_LOWER_TRIANGLE.splitlines(), start=1))
-    return CorrelationMatrix(_assemble(source, _tokenize(source, lines)))
+    return CorrelationMatrix(_assemble("demo:stai", _tokenize("demo:stai", STAI_LOWER_TRIANGLE)))
 
 
 def stai_loadings() -> np.ndarray:

@@ -1,17 +1,16 @@
 """Plain-text ingestion of correlation matrices and loading vectors.
 
 Files hold one matrix row per line, comma-, semicolon- or whitespace-delimited,
-with optional ``*``-prefixed comment lines.  A lower triangle (row i holding i
-entries, diagonal included) is auto-detected and mirrored across the diagonal;
-anything else must be a full square matrix.
+with optional ``*``-prefixed comment lines.  The delimiter and the layout are
+always detected from the text; there is no override.  A lower triangle (row i
+holding i entries, diagonal included) is mirrored across the diagonal; anything
+else must be a full square matrix.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -25,53 +24,14 @@ from .errors import (
 from .model import SYMMETRY_TOL, CorrelationMatrix, cholesky_lower
 
 
-class Layout(Enum):
-    FULL_SYMMETRIC = "full_symmetric"
-    LOWER_TRIANGLE = "lower_triangle"
-
-
-class Delimiter(Enum):
-    COMMA = ","
-    SEMICOLON = ";"
-    WHITESPACE = None
-
-
-@dataclass(frozen=True)
-class MatrixFile:
-    """A matrix source: path plus optional layout/delimiter overrides.
-
-    Leaving ``layout`` or ``delimiter`` unset selects auto-detection.
-    """
-
-    path: str | Path
-    layout: Layout | None = None
-    delimiter: Delimiter | None = None
-
-
-def _detect_delimiter(lines: list[str]) -> Delimiter:
+def _detect_delimiter(lines: list[str]) -> str | None:
     # Scan the whole body: the first row of a lower triangle has one entry and
-    # therefore no separator at all.
+    # therefore no separator at all.  None splits on whitespace.
     if any(";" in line for line in lines):
-        return Delimiter.SEMICOLON
+        return ";"
     if any("," in line for line in lines):
-        return Delimiter.COMMA
-    return Delimiter.WHITESPACE
-
-
-def _data_lines(path: Path) -> list[tuple[int, str]]:
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise MatrixParseError(f"cannot read {path}: {exc}") from exc
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("*"):
-            continue
-        lines.append((lineno, stripped))
-    if not lines:
-        raise MatrixParseError(f"{path} contains no data lines")
-    return lines
+        return ","
+    return None
 
 
 def _floats(tokens: list[str]) -> list[float]:
@@ -86,41 +46,45 @@ def _floats(tokens: list[str]) -> list[float]:
         return [float(tok) for tok in tokens if tok.strip()]
 
 
-def _tokenize(source: MatrixFile, lines: list[tuple[int, str]]) -> list[tuple[int, list[float]]]:
-    # A statement-style trailing separator on a row is tolerated (and removed
-    # before delimiter detection, so ";"-terminated comma rows stay comma rows).
-    cleaned = [(lineno, line.rstrip(";,").strip()) for lineno, line in lines]
-    cleaned = [(lineno, line) for lineno, line in cleaned if line]
-    if not cleaned:
-        raise MatrixParseError(f"{source.path} contains no data lines")
-    delimiter = source.delimiter or _detect_delimiter([line for _, line in cleaned])
+def _tokenize(label: str, text: str) -> list[tuple[int, list[float]]]:
+    """The data rows of ``text`` as (line number, values), in file order."""
+    lines = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line.startswith("*"):
+            continue
+        # A statement-style trailing separator on a row is tolerated (and removed
+        # before delimiter detection, so ";"-terminated comma rows stay comma rows).
+        line = line.rstrip(";,").strip()
+        if line:
+            lines.append((lineno, line))
+    if not lines:
+        raise MatrixParseError(f"{label} contains no data lines")
+    delimiter = _detect_delimiter([line for _, line in lines])
     rows = []
-    for lineno, line in cleaned:
+    for lineno, line in lines:
         try:
-            rows.append((lineno, _floats(line.split(delimiter.value))))
+            rows.append((lineno, _floats(line.split(delimiter))))
         except ValueError as exc:
-            raise MatrixParseError(f"{source.path}, line {lineno}: {exc}") from exc
+            raise MatrixParseError(f"{label}, line {lineno}: {exc}") from exc
         if not all(map(math.isfinite, rows[-1][1])):
-            raise MatrixParseError(f"{source.path}, line {lineno}: non-finite value")
+            raise MatrixParseError(f"{label}, line {lineno}: non-finite value")
     return rows
 
 
-def _assemble(source: MatrixFile, rows: list[tuple[int, list[float]]]) -> np.ndarray:
-    lengths = [len(values) for _, values in rows]
-    p = len(rows)
-    is_triangle = lengths == list(range(1, p + 1)) and p > 1
-    layout = source.layout
-    if layout is None:
-        layout = Layout.LOWER_TRIANGLE if is_triangle else Layout.FULL_SYMMETRIC
+def _read_rows(path: Path) -> list[tuple[int, list[float]]]:
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MatrixParseError(f"cannot read {path}: {exc}") from exc
+    return _tokenize(str(path), text)
 
-    if layout is Layout.LOWER_TRIANGLE:
+
+def _assemble(label: str, rows: list[tuple[int, list[float]]]) -> np.ndarray:
+    p = len(rows)
+    if p > 1 and all(len(values) == i for i, (_, values) in enumerate(rows, start=1)):
         full = np.zeros((p, p))
-        for i, (lineno, values) in enumerate(rows):
-            if len(values) != i + 1:
-                raise MatrixParseError(
-                    f"{source.path}, line {lineno}: lower-triangle row {i + 1} "
-                    f"has {len(values)} entries, expected {i + 1}"
-                )
+        for i, (_, values) in enumerate(rows):
             full[i, : i + 1] = values
         # Mirror exactly as the matrix-language oracle does: M + M' - diag(M).
         return full + full.T - np.diag(np.diag(full))
@@ -128,13 +92,13 @@ def _assemble(source: MatrixFile, rows: list[tuple[int, list[float]]]) -> np.nda
     for lineno, values in rows:
         if len(values) != p:
             raise MatrixParseError(
-                f"{source.path}, line {lineno}: row has {len(values)} entries, "
+                f"{label}, line {lineno}: row has {len(values)} entries, "
                 f"expected {p} for a full square matrix"
             )
     return np.array([values for _, values in rows])
 
 
-def parse_matrix(source: MatrixFile | str | Path, require_unit_diagonal: bool = False) -> CorrelationMatrix:
+def parse_matrix(path: str | Path, require_unit_diagonal: bool = False) -> CorrelationMatrix:
     """Parse, mirror/symmetrize and validate a covariance or correlation matrix.
 
     With ``require_unit_diagonal`` the parsed matrix must be a correlation
@@ -143,14 +107,12 @@ def parse_matrix(source: MatrixFile | str | Path, require_unit_diagonal: bool = 
     :class:`NotPositiveDefiniteWarning`; only inversion-based operations
     reject it.
     """
-    if not isinstance(source, MatrixFile):
-        source = MatrixFile(Path(source))
-    rows = _tokenize(source, _data_lines(Path(source.path)))
-    matrix = CorrelationMatrix(_assemble(source, rows))
+    path = Path(path)
+    matrix = CorrelationMatrix(_assemble(str(path), _read_rows(path)))
     if require_unit_diagonal and not matrix.is_standardized:
         worst = np.abs(np.diag(matrix.values) - 1.0).max()
         raise ValidationError(
-            f"{source.path}: a correlation matrix is required but the diagonal "
+            f"{path}: a correlation matrix is required but the diagonal "
             f"deviates from 1 by up to {worst:.3e} (tolerance {SYMMETRY_TOL:g}) "
             "or an off-diagonal entry falls outside [-1, 1]"
         )
@@ -160,21 +122,20 @@ def parse_matrix(source: MatrixFile | str | Path, require_unit_diagonal: bool = 
             cholesky_lower(matrix.values)
     except SingularMatrixError as exc:
         warnings.warn(
-            f"{source.path}: matrix is not positive definite ({exc})",
+            f"{path}: matrix is not positive definite ({exc})",
             NotPositiveDefiniteWarning,
             stacklevel=2,
         )
     return matrix
 
 
-def parse_loadings(source: MatrixFile | str | Path, expected_p: int | None = None) -> np.ndarray:
+def parse_loadings(path: str | Path, expected_p: int | None = None) -> np.ndarray:
     """Parse a loading vector: one value per line, or one delimited row.
 
     ``expected_p`` cross-checks the count against a companion matrix.
     """
-    if not isinstance(source, MatrixFile):
-        source = MatrixFile(Path(source))
-    rows = _tokenize(source, _data_lines(Path(source.path)))
+    path = Path(path)
+    rows = _read_rows(path)
     if len(rows) == 1:
         values = np.asarray(rows[0][1])
     else:
@@ -182,20 +143,19 @@ def parse_loadings(source: MatrixFile | str | Path, expected_p: int | None = Non
         for lineno, row in rows:
             if len(row) != 1:
                 raise MatrixParseError(
-                    f"{source.path}, line {lineno}: expected one loading per line, got {len(row)}"
+                    f"{path}, line {lineno}: expected one loading per line, got {len(row)}"
                 )
             values.append(row[0])
         values = np.asarray(values)
     if expected_p is not None and values.size != expected_p:
         raise MatrixParseError(
-            f"{source.path}: {values.size} loadings do not match the "
+            f"{path}: {values.size} loadings do not match the "
             f"{expected_p}-indicator matrix"
         )
     return values
 
 
-def write_matrix(path: str | Path, matrix: CorrelationMatrix, delimiter: Delimiter = Delimiter.COMMA) -> None:
-    """Write a full square matrix at round-trip precision."""
-    sep = delimiter.value or " "
-    lines = [sep.join(repr(float(v)) for v in row) for row in matrix.values]
+def write_matrix(path: str | Path, matrix: CorrelationMatrix) -> None:
+    """Write a full square, comma-separated matrix at round-trip precision."""
+    lines = [",".join(repr(float(v)) for v in row) for row in matrix.values]
     Path(path).write_text("\n".join(lines) + "\n")

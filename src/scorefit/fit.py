@@ -9,18 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DimensionError, NoSolutionError, ValidationError
 from .model import CorrelationMatrix, ParallelSpec
-
-class ModelKind(Enum):
-    FACTOR_SCORE = "factor_score"
-    UNIT_WEIGHTED = "unit_weighted"
-    REFLECTIVE_FACTOR = "reflective_factor"
 
 
 @dataclass(frozen=True)
@@ -29,7 +23,6 @@ class FitReport:
 
     srmr: float
     residuals: np.ndarray
-    model_kind: ModelKind | None = None
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -52,7 +45,6 @@ def _srmr_from_residuals(resid: np.ndarray) -> np.ndarray:
 def srmr(
     sigma: CorrelationMatrix,
     sigma_model: CorrelationMatrix,
-    model_kind: ModelKind | None = None,
     warnings: Iterable[str] = (),
 ) -> FitReport:
     """Standardized root mean square residual between two covariance matrices.
@@ -67,7 +59,7 @@ def srmr(
     if sigma.p == 0:
         raise DimensionError("SRMR needs at least one indicator, got 0x0 matrices")
     resid = sigma.values - sigma_model.values
-    return FitReport(float(_srmr_from_residuals(resid)), resid, model_kind, tuple(warnings))
+    return FitReport(float(_srmr_from_residuals(resid)), resid, tuple(warnings))
 
 
 def srmr_parallel_closed_form(r: float, p: int) -> float:

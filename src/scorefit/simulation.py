@@ -10,10 +10,8 @@ stream derived from the master seed and the cell parameters, read in
 replication order, so results are identical no matter which subset of cells a
 config requests, and raising the replication count only appends replications.
 
-Cells run one after another on one thread.  A thread pool over cells was
-removed: on a 2-vCPU machine 2 threads ran the benchmark's default grid at 200
-replications only 1.08x to 1.18x as fast as one, below the 1.2x it had to
-reach.  The CLI still accepts ``--workers`` for compatibility; it has no effect.
+Cells run one after another on one thread.  The CLI accepts ``--workers`` for
+compatibility; it has no effect.
 """
 
 from __future__ import annotations
@@ -66,12 +64,18 @@ class SimulationConfig:
             raise ValidationError("seed must fit in an unsigned 64-bit integer")
         for l in self.mean_loadings:
             # population_loadings states the loading rules; p = 2 passes its
-            # p checks, so an odd p still fails only when the cell runs.
+            # p checks, which run for every p below.
             population_loadings(l, 2, self.loading_pattern)
         max_p = max(self.indicator_counts)
         for n in self.sample_sizes:
             if n < max_p + 1:
                 raise ValidationError(f"sample size {n} is below p + 1 = {max_p + 1}")
+        for p in self.indicator_counts:
+            _check_indicator_count(p, self.loading_pattern)
+        for n in self.sample_sizes:
+            # The chi-square draws take n - 1 degrees of freedom as a C long.
+            if n > 2**63:
+                raise ValidationError(f"sample size {n} is above 2**63")
 
 
 @dataclass(frozen=True)
@@ -88,6 +92,13 @@ class SimulationCell:
     replications_used: int
 
 
+def _check_indicator_count(p: int, pattern: LoadingPattern) -> None:
+    if p < 2:
+        raise ValidationError(f"need p >= 2 indicators, got {p}")
+    if pattern is LoadingPattern.VARIABLE and p % 2 != 0:
+        raise ValidationError(f"variable pattern needs an even p, got {p}")
+
+
 def population_loadings(l: float, p: int, pattern: LoadingPattern) -> np.ndarray:
     """Loading vector of one population cell.
 
@@ -96,12 +107,9 @@ def population_loadings(l: float, p: int, pattern: LoadingPattern) -> np.ndarray
     """
     if not (0.0 < l < 1.0):
         raise ValidationError(f"mean loading {l} outside (0, 1)")
-    if p < 2:
-        raise ValidationError(f"need p >= 2 indicators, got {p}")
+    _check_indicator_count(p, pattern)
     if pattern is LoadingPattern.CONSTANT:
         return np.full(p, float(l))
-    if p % 2 != 0:
-        raise ValidationError(f"variable pattern needs an even p, got {p}")
     if not (0.0 < l - 0.10 and l + 0.10 < 1.0):
         raise ValidationError(f"variable pattern needs {l} +/- 0.10 inside (0, 1)")
     return np.r_[np.full(p // 2, l + 0.10), np.full(p // 2, l - 0.10)]
@@ -236,9 +244,8 @@ def run_simulation(config: SimulationConfig) -> list[SimulationCell]:
     """All design cells of the config, in (n, l, p) order, run on one thread.
 
     Every cell has its own stream, so a cell's values do not depend on which
-    other cells the config requests.  There is no worker count: threads over
-    cells did not reach 1.2x on the benchmark (module docstring), and the
-    CLI's ``--workers`` is accepted and ignored.
+    other cells the config requests.  The CLI's ``--workers`` is accepted and
+    has no effect.
     """
     return [
         _run_cell(config, n, l, p)

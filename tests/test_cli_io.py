@@ -7,8 +7,6 @@ import numpy as np
 import pytest
 
 from scorefit import (
-    Layout,
-    MatrixFile,
     MatrixParseError,
     NotPositiveDefiniteWarning,
     ParallelSpec,
@@ -128,16 +126,19 @@ class TestParseMatrix:
 
     def test_ragged_rows_name_the_line(self, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text("1.0 0.5 0.1\n0.5 1.0\n0.1 0.2 1.0\n")
-        with pytest.raises(MatrixParseError, match="line 2"):
-            parse_matrix(path)
-
-    def test_explicit_layout_is_enforced(self, tmp_path):
-        path = tmp_path / "tri.txt"
-        path.write_text("1.0\n0.3 1.0\n")
-        assert parse_matrix(path).p == 2  # auto-detects the triangle
-        with pytest.raises(MatrixParseError):
-            parse_matrix(MatrixFile(path, layout=Layout.FULL_SYMMETRIC))
+        # Rows of 1, 2 and 2 entries are no triangle, so they must form a full
+        # square, and the first row is already short.
+        for text, lineno, entries in [
+            ("1.0 0.5 0.1\n0.5 1.0\n0.1 0.2 1.0\n", 2, 2),
+            ("1.0\n0.3 1.0\n0.2 0.1\n", 1, 1),
+        ]:
+            path.write_text(text)
+            with pytest.raises(MatrixParseError) as raised:
+                parse_matrix(path)
+            assert str(raised.value) == (
+                f"{path}, line {lineno}: row has {entries} entries, "
+                "expected 3 for a full square matrix"
+            )
 
     def test_non_numeric_token(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -186,6 +187,16 @@ class TestParseMatrix:
     def test_missing_file(self):
         with pytest.raises(MatrixParseError, match="cannot read"):
             parse_matrix("/no/such/file.txt")
+
+
+@pytest.mark.parametrize("parse", [parse_matrix, parse_loadings])
+@pytest.mark.parametrize("text", ["", "* only\n* comments\n\n", ";\n,\n ;; \n,;\n"])
+def test_file_without_data_lines_is_rejected(tmp_path, parse, text):
+    path = tmp_path / "empty.txt"
+    path.write_text(text)
+    with pytest.raises(MatrixParseError) as raised:
+        parse(path)
+    assert str(raised.value) == f"{path} contains no data lines"
 
 
 class TestParseLoadings:
@@ -547,6 +558,29 @@ class TestSimulateCommand:
         assert captured.err == (
             "scorefit: error: variable pattern needs 0.95 +/- 0.10 inside (0, 1)\n"
         )
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--p", "6,7", "--pattern", "both"], "variable pattern needs an even p, got 7"),
+        (["--p", "1"], "need p >= 2 indicators, got 1"),
+    ])
+    def test_every_p_is_validated_before_any_grid_runs(self, capsys, monkeypatch, argv, message):
+        def run_simulation(config):
+            raise AssertionError("a grid ran before every p was validated")
+
+        monkeypatch.setattr(cli, "run_simulation", run_simulation)
+        assert main(["simulate"] + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"scorefit: error: {message}\n"
+
+    def test_sample_size_beyond_a_c_long_is_an_error(self, capsys):
+        argv = ["simulate", "--l", "0.4", "--p", "6", "--reps", "1", "--pattern", "constant"]
+        assert main(argv + ["--n", str(2**64)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"scorefit: error: sample size {2**64} is above 2**63\n"
+        assert main(argv + ["--n", str(2**63)]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class _MallInfo2(ctypes.Structure):

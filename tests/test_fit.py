@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from scorefit import (
     CorrelationMatrix,
     DimensionError,
-    ModelKind,
     NoSolutionError,
     ParallelSpec,
     ScoreWeights,
@@ -72,8 +71,7 @@ class TestSrmr:
         assert np.array_equal(_srmr_from_residuals(stack), expected)
 
     def test_metadata_carried(self, stai_sigma):
-        report = srmr(stai_sigma, stai_sigma, ModelKind.UNIT_WEIGHTED, ["note"])
-        assert report.model_kind is ModelKind.UNIT_WEIGHTED
+        report = srmr(stai_sigma, stai_sigma, ["note"])
         assert report.warnings == ("note",)
 
 

@@ -19,7 +19,6 @@ from scorefit import (
     CorrelationMatrix,
     FactorModel,
     FitReport,
-    ModelKind,
     ScoreWeights,
     factor_implied_sigma,
     fs_implied_sigma,
@@ -66,9 +65,9 @@ def _stai_fits(sigma, lam):
     model = FactorModel.from_standardized_loadings(lam)
     unit = score_model_implied_sigma(sigma, ScoreWeights.unit(sigma.p))
     return (
-        ("unit_weighted", srmr(sigma, unit, ModelKind.UNIT_WEIGHTED)),
-        ("factor_score", srmr(sigma, fs_implied_sigma(sigma, model), ModelKind.FACTOR_SCORE)),
-        ("reflective", srmr(sigma, factor_implied_sigma(model), ModelKind.REFLECTIVE_FACTOR)),
+        ("unit_weighted", srmr(sigma, unit)),
+        ("factor_score", srmr(sigma, fs_implied_sigma(sigma, model))),
+        ("reflective", srmr(sigma, factor_implied_sigma(model))),
     )
 
 

@@ -213,17 +213,21 @@ class TestSimulationConfig:
             SimulationConfig(mean_loadings=(0.95,), loading_pattern=LoadingPattern.VARIABLE)
         with pytest.raises(ValidationError):
             SimulationConfig(seed=-1)
+        with pytest.raises(ValidationError, match="^need p >= 2 indicators, got 1$"):
+            SimulationConfig(indicator_counts=(6, 1))
+        with pytest.raises(ValidationError, match="above 2\\*\\*63"):
+            SimulationConfig(sample_sizes=(150, 2**63 + 1))
 
-    def test_variable_odd_p_fails_at_run(self):
-        config = SimulationConfig(
-            sample_sizes=(50,),
-            mean_loadings=(0.4,),
-            indicator_counts=(5,),
-            loading_pattern=LoadingPattern.VARIABLE,
-            replications=2,
-        )
-        with pytest.raises(ValidationError, match="even"):
-            run_simulation(config)
+    def test_variable_odd_p_fails_at_construction(self):
+        # Every p is checked up front, with the message its cell would raise.
+        with pytest.raises(ValidationError, match="^variable pattern needs an even p, got 5$"):
+            SimulationConfig(
+                sample_sizes=(50,),
+                mean_loadings=(0.4,),
+                indicator_counts=(6, 5),
+                loading_pattern=LoadingPattern.VARIABLE,
+                replications=2,
+            )
 
 
 SMALL = dict(sample_sizes=(150, 300), mean_loadings=(0.4,), indicator_counts=(6, 12), replications=40, seed=77)
