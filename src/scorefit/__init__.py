@@ -13,7 +13,6 @@ from .errors import (
     MatrixParseError,
     NearSingularMatrixWarning,
     NoSolutionError,
-    NotPositiveDefiniteWarning,
     ScorefitError,
     SingularMatrixError,
     ValidationError,
@@ -69,7 +68,6 @@ __all__ = [
     "MatrixParseError",
     "NearSingularMatrixWarning",
     "NoSolutionError",
-    "NotPositiveDefiniteWarning",
     "OutputFormat",
     "ParallelSpec",
     "ReportDocument",

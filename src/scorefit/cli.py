@@ -17,7 +17,7 @@ import warnings
 from pathlib import Path
 
 from . import datasets
-from .errors import ScorefitError, ValidationError
+from .errors import ScorefitError, SingularMatrixError, ValidationError
 from .fileio import parse_loadings, parse_matrix
 from .fit import (
     min_p_for_srmr,
@@ -26,7 +26,7 @@ from .fit import (
     srmr,
     srmr_parallel_closed_form,
 )
-from .model import FactorModel, factor_implied_sigma
+from .model import FactorModel, cholesky_lower, factor_implied_sigma
 from .report import OutputFormat, ReportDocument
 from .scoring import ScoreWeights, fs_implied_sigma, score_model_implied_sigma
 from .simulation import LoadingPattern, SimulationConfig, run_simulation
@@ -163,8 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="accepted for compatibility and ignored: cells run on one thread, "
-        "because 2 threads gave under 1.2x on 2 vCPUs (default grid, 200 reps)",
+        help="accepted for compatibility; has no effect",
     )
     _add_output_flags(sim, "csv")
     sim.set_defaults(handler=_cmd_simulate)
@@ -175,18 +174,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_fit_check(args) -> ReportDocument:
     if args.demo:
         source, checksums = f"demo:{args.demo}", datasets.stai_checksums()
-        sigma, parse_warnings = datasets.stai_correlation_matrix(), ()
+        sigma = datasets.stai_correlation_matrix()
         inputs = [("matrix", source), ("matrix_sha256", checksums["matrix"])]
     else:
-        path = Path(args.matrix)
-        sigma, parse_warnings = _captured(parse_matrix, path)
-        inputs = [("matrix", str(path)), ("matrix_sha256", _sha256(path))]
+        matrix_path = Path(args.matrix)
+        sigma = parse_matrix(matrix_path)
+        inputs = [("matrix", str(matrix_path)), ("matrix_sha256", _sha256(matrix_path))]
     inputs.append(("p", str(sigma.p)))
 
     if args.loadings is not None:
-        path = Path(args.loadings)
-        loadings = parse_loadings(path, expected_p=sigma.p)
-        inputs += [("loadings", str(path)), ("loadings_sha256", _sha256(path))]
+        loadings_path = Path(args.loadings)
+        loadings = parse_loadings(loadings_path, expected_p=sigma.p)
+        inputs += [("loadings", str(loadings_path)), ("loadings_sha256", _sha256(loadings_path))]
     elif args.demo:
         loadings = datasets.stai_loadings()
         inputs += [("loadings", source), ("loadings_sha256", checksums["loadings"])]
@@ -196,12 +195,21 @@ def _cmd_fit_check(args) -> ReportDocument:
     if args.reflective and loadings is None:
         raise ValidationError("--reflective requires loadings")
 
+    notes = ()
+    if loadings is None:
+        # No model inverts Sigma, so factor it here to note a non-PD matrix.
+        # With loadings the factor-score model's own inversion rejects it.
+        try:
+            cholesky_lower(sigma.values)
+        except SingularMatrixError as exc:
+            notes = (f"{matrix_path}: matrix is not positive definite ({exc})",)
+
     fits = []
 
     def fit(label, implied_sigma, *operands):
         try:
             implied, caught = _captured(implied_sigma, *operands)
-            fits.append((label, srmr(sigma, implied, parse_warnings + caught)))
+            fits.append((label, srmr(sigma, implied, notes + caught)))
         except ScorefitError as exc:
             # Name the model: a non-PD matrix fails only the models that invert it.
             # The exception keeps its class and attributes (such as pivot_index).

@@ -31,8 +31,4 @@ class MatrixParseError(ScorefitError):
 
 
 class NearSingularMatrixWarning(RuntimeWarning):
-    """Smallest Cholesky pivot is positive but close to the singularity cutoff."""
-
-
-class NotPositiveDefiniteWarning(RuntimeWarning):
-    """A parsed matrix is not positive definite; inversion-based operations will fail."""
+    """A matrix being inverted has a positive Cholesky pivot close to the singularity cutoff."""

@@ -10,18 +10,12 @@ else must be a full square matrix.
 from __future__ import annotations
 
 import math
-import warnings
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    MatrixParseError,
-    NotPositiveDefiniteWarning,
-    SingularMatrixError,
-    ValidationError,
-)
-from .model import SYMMETRY_TOL, CorrelationMatrix, cholesky_lower
+from .errors import MatrixParseError, ValidationError
+from .model import SYMMETRY_TOL, CorrelationMatrix
 
 
 def _detect_delimiter(lines: list[str]) -> str | None:
@@ -102,10 +96,9 @@ def parse_matrix(path: str | Path, require_unit_diagonal: bool = False) -> Corre
     """Parse, mirror/symmetrize and validate a covariance or correlation matrix.
 
     With ``require_unit_diagonal`` the parsed matrix must be a correlation
-    matrix (unit diagonal, off-diagonals in [-1, 1]).  A matrix that is not
-    positive definite parses fine but carries a
-    :class:`NotPositiveDefiniteWarning`; only inversion-based operations
-    reject it.
+    matrix (unit diagonal, off-diagonals in [-1, 1]).  Positive definiteness
+    is not checked: a matrix that is not positive definite parses silently,
+    and only the operations that factor or invert it reject it.
     """
     path = Path(path)
     matrix = CorrelationMatrix(_assemble(str(path), _read_rows(path)))
@@ -115,16 +108,6 @@ def parse_matrix(path: str | Path, require_unit_diagonal: bool = False) -> Corre
             f"{path}: a correlation matrix is required but the diagonal "
             f"deviates from 1 by up to {worst:.3e} (tolerance {SYMMETRY_TOL:g}) "
             "or an off-diagonal entry falls outside [-1, 1]"
-        )
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # near-singular still parses silently
-            cholesky_lower(matrix.values)
-    except SingularMatrixError as exc:
-        warnings.warn(
-            f"{path}: matrix is not positive definite ({exc})",
-            NotPositiveDefiniteWarning,
-            stacklevel=2,
         )
     return matrix
 

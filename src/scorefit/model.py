@@ -40,13 +40,12 @@ def cholesky_lower(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive definite matrix.
 
     A pivot at or below ``PIVOT_TOL`` raises :class:`SingularMatrixError`
-    naming the failing pivot index.  Pivots inside the band
-    ``(PIVOT_TOL, NEAR_SINGULAR_TOL)`` succeed but emit
-    :class:`NearSingularMatrixWarning`.
+    naming the failing pivot index.  Factorization never warns: a caller that
+    only checks or draws from the factor gets it silently, and the inversions
+    below flag a near-singular matrix.
     """
     n = a.shape[0]
     lower = np.zeros((n, n))
-    min_pivot = math.inf
     for j in range(n):
         pivot = a[j, j] - lower[j, :j] @ lower[j, :j]
         if pivot <= PIVOT_TOL:
@@ -56,10 +55,16 @@ def cholesky_lower(a: np.ndarray) -> np.ndarray:
                 pivot_index=j,
                 pivot=pivot,
             )
-        min_pivot = min(min_pivot, pivot)
         lower[j, j] = math.sqrt(pivot)
         if j + 1 < n:
             lower[j + 1 :, j] = (a[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / lower[j, j]
+    return lower
+
+
+def _inversion_factor(a: np.ndarray) -> np.ndarray:
+    """``cholesky_lower(a)``, warning when its smallest pivot is below ``NEAR_SINGULAR_TOL``."""
+    lower = cholesky_lower(a)
+    min_pivot = np.diag(lower).min(initial=math.inf) ** 2
     if min_pivot < NEAR_SINGULAR_TOL:
         warnings.warn(
             f"smallest Cholesky pivot {min_pivot:.3e} is below {NEAR_SINGULAR_TOL:g}; "
@@ -71,14 +76,22 @@ def cholesky_lower(a: np.ndarray) -> np.ndarray:
 
 
 def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``a @ x = b`` for symmetric positive definite ``a`` via Cholesky."""
-    lower = cholesky_lower(a)
+    """Solve ``a @ x = b`` for symmetric positive definite ``a`` via Cholesky.
+
+    Raises :class:`SingularMatrixError` as :func:`cholesky_lower` does, and
+    emits :class:`NearSingularMatrixWarning` for a pivot inside the band
+    ``(PIVOT_TOL, NEAR_SINGULAR_TOL)``.
+    """
+    lower = _inversion_factor(a)
     return np.linalg.solve(lower.T, np.linalg.solve(lower, b))
 
 
 def spd_inverse(a: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric positive definite matrix via Cholesky."""
-    lower = cholesky_lower(a)
+    """Inverse of a symmetric positive definite matrix via Cholesky.
+
+    Raises and warns as :func:`spd_solve` does.
+    """
+    lower = _inversion_factor(a)
     lower_inv = np.linalg.solve(lower, np.eye(a.shape[0]))
     inv = lower_inv.T @ lower_inv
     return (inv + inv.T) / 2.0

@@ -2,13 +2,14 @@ import ctypes
 import hashlib
 import json
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from scorefit import (
     MatrixParseError,
-    NotPositiveDefiniteWarning,
     ParallelSpec,
     SingularMatrixError,
     ValidationError,
@@ -17,6 +18,7 @@ from scorefit import (
     parse_matrix,
     write_matrix,
 )
+import scorefit.model
 from scorefit import cli, datasets
 from scorefit.cli import main
 
@@ -177,10 +179,11 @@ class TestParseMatrix:
         with pytest.raises(ValidationError, match="correlation"):
             parse_matrix(path, require_unit_diagonal=True)
 
-    def test_not_positive_definite_warns_but_parses(self, tmp_path):
+    def test_not_positive_definite_parses_silently(self, tmp_path):
         path = tmp_path / "ones.txt"
         path.write_text("1 1 1\n1 1 1\n1 1 1\n")
-        with pytest.warns(NotPositiveDefiniteWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             parsed = parse_matrix(path)
         assert parsed.p == 3
 
@@ -339,6 +342,41 @@ class TestFitCheckCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("scorefit: error: factor_score model: Cholesky pivot 1 is ")
+
+    def test_near_singular_matrix_warns_only_the_model_that_inverts_it(self, tmp_path, capsys):
+        matrix, loadings = tmp_path / "near.txt", tmp_path / "l.txt"
+        matrix.write_text("1\n0.9999995 1\n0.5 0.5 1\n")
+        loadings.write_text("0.6 0.6 0.5\n")
+        argv = ["fit-check", "--matrix", str(matrix), "--loadings", str(loadings), "--format", "json"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert {fit["model"]: fit["warnings"] for fit in json.loads(captured.out)["fits"]} == {
+            "unit_weighted": [],
+            "factor_score": [
+                "smallest Cholesky pivot 1.000e-06 is below 1e-06; results may be unstable"
+            ],
+        }
+
+    @pytest.mark.parametrize("with_loadings", [False, True])
+    def test_sigma_is_factored_once(self, tmp_path, capsys, monkeypatch, with_loadings):
+        matrix, loadings = tmp_path / "m.txt", tmp_path / "l.txt"
+        write_matrix(matrix, build_parallel_sigma(ParallelSpec(0.3, 5)))
+        loadings.write_text("0.5\n0.6\n0.5\n0.6\n0.5\n")
+        original, shapes = scorefit.model.cholesky_lower, []
+
+        def counted(a):
+            shapes.append(a.shape)
+            return original(a)
+
+        # Rebind every module's reference, so a factorization anywhere is counted.
+        for name, module in list(sys.modules.items()):
+            if name.startswith("scorefit") and getattr(module, "cholesky_lower", None) is original:
+                monkeypatch.setattr(module, "cholesky_lower", counted)
+        argv = ["fit-check", "--matrix", str(matrix)] + ["--loadings", str(loadings)] * with_loadings
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert shapes.count((5, 5)) == 1
 
     def test_model_label_keeps_the_error_class_and_pivot(self, tmp_path):
         matrix, loadings = tmp_path / "ones.txt", tmp_path / "l.txt"
@@ -520,6 +558,29 @@ class TestSimulateCommand:
         assert main(self.ARGS + ["--workers", "1", "--out", str(out1)]) == 0
         assert main(self.ARGS + ["--workers", "3", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_near_singular_population_is_not_a_stray_warning(self, capsys):
+        # A loading this close to 1 factors a population with a pivot near 2.4e-7;
+        # drawing from the factor is fine and must not warn on stderr.
+        argv = ["simulate", "--n", "150", "--l", "0.9999999", "--p", "6", "--reps", "5",
+                "--pattern", "constant"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert lines[:7] == [
+            "# n=150", "# l=0.9999999", "# p=6", "# pattern=constant", "# replications=5",
+            "# seed=1234",
+            "n,l,r,p,pattern,population_srmr,mean_srmr_s,sd_srmr_s,replications_used",
+        ]
+        row = lines[7].split(",")
+        assert row[:5] == ["150", "0.9999999", "0.9999998000000101", "6", "constant"]
+        assert row[8] == "5" and len(lines) == 8
+        assert [float(v) for v in row[5:8]] == pytest.approx(
+            [9.343531371301923e-08, 9.804559432311211e-08, 1.4869044725579985e-08], rel=1e-6
+        )
 
     @pytest.mark.parametrize("command, flag, text, message", [
         ("simulate", "--n", "150,x", "invalid literal for int() with base 10: 'x'"),

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,15 @@ class TestInvertSpd:
         with pytest.warns(NearSingularMatrixWarning):
             inv = invert_spd(sigma)
         assert np.abs(sigma.values @ inv.values - np.eye(2)).max() < 1e-6
+
+    def test_only_inversion_warns_on_a_near_singular_matrix(self):
+        sigma = build_parallel_sigma(ParallelSpec(1.0 - 5e-7, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lower = cholesky_lower(sigma.values)
+        assert np.allclose(lower @ lower.T, sigma.values, rtol=0.0, atol=1e-15)
+        with pytest.warns(NearSingularMatrixWarning, match=r"smallest Cholesky pivot 1\.000e-06"):
+            invert_spd(sigma)
 
 
 def test_stai_matrix_is_positive_definite(stai_sigma):
