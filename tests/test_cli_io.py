@@ -529,6 +529,7 @@ class TestClosedFormCommand:
 
 class TestSimulateCommand:
     ARGS = ["simulate", "--n", "150", "--l", "0.4", "--p", "6", "--reps", "25", "--seed", "9"]
+    HEADER = "n,l,r,p,pattern,population_srmr,mean_srmr_s,sd_srmr_s,replications_used"
 
     def test_csv_shape_and_content(self, capsys):
         assert main(self.ARGS) == 0
@@ -558,6 +559,24 @@ class TestSimulateCommand:
         assert main(self.ARGS + ["--workers", "1", "--out", str(out1)]) == 0
         assert main(self.ARGS + ["--workers", "3", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_repeated_and_reordered_values_match_single_cell_runs(self, capsys):
+        # Cells that share an (l, p) population share its build; every row must
+        # still be the one its cell prints when it runs alone.
+        def rows(argv):
+            assert main(argv + ["--reps", "60"]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            return lines[lines.index(self.HEADER) + 1:]
+
+        grid = rows(["simulate", "--n", "300,150,300", "--l", "0.4,0.4,0.2", "--p", "24,2,24"])
+        cells = [(n, l, p) for n in ("300", "150", "300") for l in ("0.4", "0.4", "0.2")
+                 for p in ("24", "2", "24")]
+        assert [tuple(row.split(",")[i] for i in (0, 1, 3)) for row in grid] == [
+            cell for cell in cells for _ in range(2)
+        ]
+        solo = {cell: rows(["simulate", "--n", cell[0], "--l", cell[1], "--p", cell[2]])
+                for cell in dict.fromkeys(cells)}
+        assert grid == [row for cell in cells for row in solo[cell]]
 
     def test_near_singular_population_is_not_a_stray_warning(self, capsys):
         # A loading this close to 1 factors a population with a pivot near 2.4e-7;

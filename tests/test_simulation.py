@@ -16,7 +16,8 @@ from scorefit import (
     srmr,
     srmr_parallel_closed_form,
 )
-from scorefit.model import ParallelSpec, cholesky_lower
+from scorefit.fit import _srmr_from_residuals
+from scorefit.model import PIVOT_TOL, ParallelSpec, cholesky_lower
 from scorefit.simulation import (
     LoadingPattern,
     SimulationConfig,
@@ -28,9 +29,39 @@ def rng_for(seed):
     return np.random.default_rng(seed)
 
 
-def population_chol(l, p):
-    loadings = population_loadings(l, p, LoadingPattern.CONSTANT)
+def population_chol(l, p, pattern=LoadingPattern.CONSTANT):
+    loadings = population_loadings(l, p, pattern)
     return cholesky_lower(population_correlation(loadings).values)
+
+
+def draw(chol, n, reps, normals, chisq):
+    p = chol.shape[0]
+    t = np.zeros((reps, p, p))
+    return simulation._bartlett_correlations(chol, n, t, np.tril_indices(p, -1), normals, chisq)
+
+
+# The kernels as they were before they reused the T buffer and wrote in
+# place: the new ones must reproduce them bit for bit.
+def oracle_bartlett_correlations(chol, n, reps, normals, chisq):
+    p = chol.shape[0]
+    rows, cols = np.tril_indices(p, -1)
+    diag = np.arange(p)
+    t = np.zeros((reps, p, p))
+    t[:, rows, cols] = normals.standard_normal((reps, rows.size))
+    t[:, diag, diag] = np.sqrt(chisq.chisquare(n - 1 - diag, size=(reps, p)))
+    a = chol @ t
+    scatter = a @ a.transpose(0, 2, 1)
+    d = scatter[:, diag, diag]
+    return scatter / np.sqrt(d[:, :, None] * d[:, None, :])
+
+
+def oracle_unit_srmr(corr):
+    c = corr.sum(axis=2)
+    s = c.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = _srmr_from_residuals(corr - c[:, :, None] * c[:, None, :] / s[:, None, None])
+    values[~(s > PIVOT_TOL) | ~np.isfinite(values)] = np.nan
+    return values
 
 
 class TestPopulationLoadings:
@@ -96,6 +127,14 @@ class TestSampleCorrelation:
         off = sample.values[~np.eye(6, dtype=bool)]
         assert np.abs(off - 0.64).max() < 0.01
 
+    @pytest.mark.parametrize("p", [2, 6, 12, 24])
+    def test_matches_the_oracle_bit_for_bit(self, p):
+        lam = np.linspace(0.1, 0.9, p)
+        chol = cholesky_lower(population_correlation(lam).values)
+        rng = rng_for(100 + p)
+        expected = oracle_bartlett_correlations(chol, p + 5, 1, rng, rng)[0]
+        assert np.array_equal(sample_correlation(lam, p + 5, rng_for(100 + p)).values, expected)
+
     def test_too_small_sample_rejected(self):
         with pytest.raises(ValidationError):
             sample_correlation(np.full(5, 0.5), 5, rng_for(4))
@@ -121,7 +160,7 @@ class TestSampleCorrelation:
         # 1/(n-1); a chi-square degree of freedom off by one moves it by 1/12.
         n, reps = 4, 20_000
         rng = rng_for(8)
-        draws = simulation._bartlett_correlations(np.eye(3), n, reps, rng, rng)
+        draws = draw(np.eye(3), n, reps, rng, rng)
         off = draws[:, [0, 0, 1], [1, 2, 2]]
         assert abs((off * off).mean() - 1.0 / (n - 1)) < 0.01
 
@@ -138,9 +177,7 @@ class TestSampleCorrelation:
             raw.append(np.corrcoef(x, rowvar=False))
         reference = simulation._unit_srmr(np.array(raw))
         chol = cholesky_lower(population_correlation(lam).values)
-        bartlett = simulation._unit_srmr(
-            simulation._bartlett_correlations(chol, n, reps, rng, rng)
-        )
+        bartlett = simulation._unit_srmr(draw(chol, n, reps, rng, rng))
         se_mean = np.hypot(reference.std(), bartlett.std()) / np.sqrt(reps)
         se_sd = np.hypot(reference.std(), bartlett.std()) / np.sqrt(2 * reps)
         assert abs(reference.mean() - bartlett.mean()) < 4 * se_mean
@@ -152,12 +189,57 @@ class TestReplicationKernel:
         rng = rng_for(10)
         for p in (2, 6, 12, 24):
             chol = cholesky_lower(population_correlation(np.linspace(0.2, 0.8, p)).values)
-            stack = simulation._bartlett_correlations(chol, 150, 30, rng, rng)
+            stack = draw(chol, 150, 30, rng, rng)
             batched = simulation._unit_srmr(stack)
             for values, value in zip(stack, batched):
                 sample = CorrelationMatrix(values)
                 implied = score_model_implied_sigma(sample, ScoreWeights.unit(p))
                 assert abs(value - srmr(sample, implied).srmr) < 1e-12
+
+    @pytest.mark.parametrize("p", [2, 6, 12, 24])
+    def test_blocks_match_the_oracle_bit_for_bit(self, p):
+        # One reused T buffer, sliced for a short last block, against the
+        # oracle's fresh arrays: 1 replication, a full block, a full block + 1
+        # and a half-full last block.
+        chol = population_chol(0.5, p, LoadingPattern.VARIABLE)
+        block = max(1, simulation._BLOCK_ELEMENTS // (p * p))
+        lower = np.tril_indices(p, -1)
+        for reps in (1, block, block + 1, 2 * block + block // 2):
+            config = SimulationConfig(
+                sample_sizes=(150,), mean_loadings=(0.5,), indicator_counts=(p,),
+                replications=reps, seed=13,
+            )
+            new = simulation._cell_generators(13, LoadingPattern.CONSTANT, 150, 0.5, p)
+            old = simulation._cell_generators(13, LoadingPattern.CONSTANT, 150, 0.5, p)
+            t = np.zeros((min(block, reps), p, p))
+            expected = []
+            for start in range(0, reps, block):
+                size = min(block, reps - start)
+                corr = simulation._bartlett_correlations(chol, 150, t[:size], lower, *new)
+                reference = oracle_bartlett_correlations(chol, 150, size, *old)
+                assert np.array_equal(corr, reference)
+                expected.append(oracle_unit_srmr(reference))
+                assert np.array_equal(simulation._unit_srmr(corr), expected[-1], equal_nan=True)
+                # Only the strict lower triangle and the diagonal are written.
+                assert np.array_equal(np.triu(t, 1), np.zeros_like(t))
+            assert np.array_equal(
+                simulation._replication_srmrs(config, chol, 150, 0.5),
+                np.concatenate(expected),
+                equal_nan=True,
+            )
+
+    def test_unit_srmr_matches_the_oracle_and_leaves_its_input(self):
+        off = -0.5 + 1e-13
+        stack = np.array([
+            np.eye(3),
+            [[1.0, off, off], [off, 1.0, off], [off, off, 1.0]],
+            np.full((3, 3), np.nan),
+            [[1.0, 0.3, -0.2], [0.3, 1.0, 0.6], [-0.2, 0.6, 1.0]],
+        ])
+        before = stack.copy()
+        values = simulation._unit_srmr(stack)
+        assert np.array_equal(values, oracle_unit_srmr(stack), equal_nan=True)
+        assert np.array_equal(stack, before, equal_nan=True)
 
     def test_undefined_replications_are_nan(self):
         valid = np.eye(3)
@@ -276,6 +358,22 @@ class TestRunSimulation:
             )
         )[0]
         assert solo in full
+
+    def test_each_population_is_built_once_per_call(self, monkeypatch):
+        # The 3 sample sizes share each of the 4 x 3 (l, p) populations; a
+        # second identical call builds them again, so nothing outlives a call.
+        calls = []
+
+        def counted(matrix):
+            calls.append(matrix.shape[0])
+            return cholesky_lower(matrix)
+
+        monkeypatch.setattr(simulation, "cholesky_lower", counted)
+        config = SimulationConfig(replications=1)
+        first = run_simulation(config)
+        assert len(first) == 36 and len(calls) == 12
+        assert run_simulation(config) == first
+        assert len(calls) == 24
 
     def test_single_replication_has_zero_sd(self):
         cells = run_simulation(
