@@ -33,16 +33,12 @@ from .model import (
     ParallelSpec,
     build_parallel_sigma,
     factor_implied_sigma,
-    invert_spd,
 )
 from .report import OutputFormat, ReportDocument
 from .scoring import (
-    ScaleModel,
     ScoreWeights,
-    WeightKind,
     bartlett_weights,
     fs_implied_sigma,
-    regression_component_loadings,
     regression_weights,
     score_model_implied_sigma,
 )
@@ -56,7 +52,7 @@ from .simulation import (
     sample_correlation,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "CorrelationMatrix",
@@ -71,25 +67,21 @@ __all__ = [
     "OutputFormat",
     "ParallelSpec",
     "ReportDocument",
-    "ScaleModel",
     "ScoreWeights",
     "ScorefitError",
     "SimulationCell",
     "SimulationConfig",
     "SingularMatrixError",
     "ValidationError",
-    "WeightKind",
     "bartlett_weights",
     "build_parallel_sigma",
     "factor_implied_sigma",
     "fs_implied_sigma",
-    "invert_spd",
     "min_p_for_srmr",
     "parse_loadings",
     "parse_matrix",
     "population_correlation",
     "population_loadings",
-    "regression_component_loadings",
     "regression_weights",
     "required_r_curve",
     "run_simulation",

@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MatrixParseError, ValidationError
-from .model import SYMMETRY_TOL, CorrelationMatrix
+from .errors import MatrixParseError
+from .model import CorrelationMatrix
 
 
 def _detect_delimiter(lines: list[str]) -> str | None:
@@ -92,24 +92,15 @@ def _assemble(label: str, rows: list[tuple[int, list[float]]]) -> np.ndarray:
     return np.array([values for _, values in rows])
 
 
-def parse_matrix(path: str | Path, require_unit_diagonal: bool = False) -> CorrelationMatrix:
+def parse_matrix(path: str | Path) -> CorrelationMatrix:
     """Parse, mirror/symmetrize and validate a covariance or correlation matrix.
 
-    With ``require_unit_diagonal`` the parsed matrix must be a correlation
-    matrix (unit diagonal, off-diagonals in [-1, 1]).  Positive definiteness
-    is not checked: a matrix that is not positive definite parses silently,
-    and only the operations that factor or invert it reject it.
+    Positive definiteness is not checked: a matrix that is not positive
+    definite parses silently, and only the operations that factor or invert
+    it reject it.
     """
     path = Path(path)
-    matrix = CorrelationMatrix(_assemble(str(path), _read_rows(path)))
-    if require_unit_diagonal and not matrix.is_standardized:
-        worst = np.abs(np.diag(matrix.values) - 1.0).max()
-        raise ValidationError(
-            f"{path}: a correlation matrix is required but the diagonal "
-            f"deviates from 1 by up to {worst:.3e} (tolerance {SYMMETRY_TOL:g}) "
-            "or an off-diagonal entry falls outside [-1, 1]"
-        )
-    return matrix
+    return CorrelationMatrix(_assemble(str(path), _read_rows(path)))
 
 
 def parse_loadings(path: str | Path, expected_p: int | None = None) -> np.ndarray:

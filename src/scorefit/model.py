@@ -1,8 +1,8 @@
 """Core domain types and the linear-algebra kernels every other module builds on.
 
 Holds the covariance/correlation container, the common-factor model, the
-equicorrelation ("parallel measurements") constructor, and Cholesky-based
-positive-definite inversion with an explicit pivot tolerance.
+equicorrelation ("parallel measurements") constructor, and the Cholesky
+factorization and positive-definite solve, with an explicit pivot tolerance.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ def cholesky_lower(a: np.ndarray) -> np.ndarray:
 
     A pivot at or below ``PIVOT_TOL`` raises :class:`SingularMatrixError`
     naming the failing pivot index.  Factorization never warns: a caller that
-    only checks or draws from the factor gets it silently, and the inversions
-    below flag a near-singular matrix.
+    only checks or draws from the factor gets it silently, and :func:`spd_solve`
+    flags a near-singular matrix.
     """
     n = a.shape[0]
     lower = np.zeros((n, n))
@@ -61,8 +61,13 @@ def cholesky_lower(a: np.ndarray) -> np.ndarray:
     return lower
 
 
-def _inversion_factor(a: np.ndarray) -> np.ndarray:
-    """``cholesky_lower(a)``, warning when its smallest pivot is below ``NEAR_SINGULAR_TOL``."""
+def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``a @ x = b`` for symmetric positive definite ``a`` via Cholesky.
+
+    Raises :class:`SingularMatrixError` as :func:`cholesky_lower` does, and
+    emits :class:`NearSingularMatrixWarning` for a pivot inside the band
+    ``(PIVOT_TOL, NEAR_SINGULAR_TOL)``.
+    """
     lower = cholesky_lower(a)
     min_pivot = np.diag(lower).min(initial=math.inf) ** 2
     if min_pivot < NEAR_SINGULAR_TOL:
@@ -72,29 +77,7 @@ def _inversion_factor(a: np.ndarray) -> np.ndarray:
             NearSingularMatrixWarning,
             stacklevel=2,
         )
-    return lower
-
-
-def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``a @ x = b`` for symmetric positive definite ``a`` via Cholesky.
-
-    Raises :class:`SingularMatrixError` as :func:`cholesky_lower` does, and
-    emits :class:`NearSingularMatrixWarning` for a pivot inside the band
-    ``(PIVOT_TOL, NEAR_SINGULAR_TOL)``.
-    """
-    lower = _inversion_factor(a)
     return np.linalg.solve(lower.T, np.linalg.solve(lower, b))
-
-
-def spd_inverse(a: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric positive definite matrix via Cholesky.
-
-    Raises and warns as :func:`spd_solve` does.
-    """
-    lower = _inversion_factor(a)
-    lower_inv = np.linalg.solve(lower, np.eye(a.shape[0]))
-    inv = lower_inv.T @ lower_inv
-    return (inv + inv.T) / 2.0
 
 
 @dataclass(frozen=True)
@@ -256,11 +239,3 @@ def build_parallel_sigma(spec: ParallelSpec) -> CorrelationMatrix:
     np.fill_diagonal(sigma, 1.0)
     return CorrelationMatrix(sigma)
 
-
-def invert_spd(m: CorrelationMatrix) -> CorrelationMatrix:
-    """Inverse of a symmetric positive definite matrix.
-
-    Uses a Cholesky factorization with pivot tolerance ``PIVOT_TOL``; a failing
-    pivot raises :class:`SingularMatrixError` naming its index.
-    """
-    return CorrelationMatrix(spd_inverse(m.values))

@@ -9,37 +9,23 @@ Their agreement on regression weights is a cross-check, not a shared code path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .model import (
-    SYMMETRY_TOL,
-    CorrelationMatrix,
-    FactorModel,
-    cholesky_lower,
-    spd_solve,
-)
-
-
-class WeightKind(Enum):
-    REGRESSION = "regression"
-    BARTLETT = "bartlett"
-    FIXED_PATTERN = "fixed_pattern"
+from .model import CorrelationMatrix, FactorModel, spd_solve
 
 
 @dataclass(frozen=True)
 class ScoreWeights:
-    """A p x q matrix of score weights.
+    """A p x q matrix of score weights; every entry must be finite.
 
-    ``FIXED_PATTERN`` weights are 0/1 with at most one nonzero per row (each
-    indicator feeds at most one scale) and at least one nonzero per column
-    (no empty scales).  Estimated weights only need to be finite.
+    ``fixed_pattern`` also requires 0/1 weights with at most one nonzero per
+    row (each indicator feeds at most one scale) and at least one nonzero per
+    column (no empty scales); ``unit`` builds the one-scale pattern.
     """
 
     values: np.ndarray
-    kind: WeightKind
 
     def __post_init__(self):
         arr = np.array(self.values, dtype=float)
@@ -49,13 +35,6 @@ class ScoreWeights:
             raise DimensionError(f"weights must be 1-d or 2-d, got ndim={arr.ndim}")
         if not np.isfinite(arr).all():
             raise ValidationError("weights contain non-finite entries")
-        if self.kind is WeightKind.FIXED_PATTERN:
-            if not np.isin(arr, (0.0, 1.0)).all():
-                raise ValidationError("fixed-pattern weights must be 0 or 1")
-            if (arr.sum(axis=1) > 1).any():
-                raise ValidationError("each indicator may feed at most one scale")
-            if (arr.sum(axis=0) < 1).any():
-                raise ValidationError("every scale needs at least one indicator")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -63,42 +42,23 @@ class ScoreWeights:
     def p(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def q(self) -> int:
-        return self.values.shape[1]
-
     @classmethod
     def unit(cls, p: int) -> "ScoreWeights":
         """All-ones weights for a single unit-weighted scale over p indicators."""
-        return cls(np.ones((p, 1)), WeightKind.FIXED_PATTERN)
+        return cls(np.ones((p, 1)))
 
     @classmethod
     def fixed_pattern(cls, values) -> "ScoreWeights":
         """0/1 pattern assigning each indicator to at most one scale."""
-        return cls(np.asarray(values, dtype=float), WeightKind.FIXED_PATTERN)
-
-
-@dataclass(frozen=True)
-class ScaleModel:
-    """Component loadings and covariance of composite scales."""
-
-    loadings: np.ndarray
-    scale_covariance: np.ndarray
-    standardized: bool
-
-    def __post_init__(self):
-        loadings = np.array(self.loadings, dtype=float)
-        cov = np.array(self.scale_covariance, dtype=float)
-        if np.abs(cov - cov.T).max() > SYMMETRY_TOL:
-            raise ValidationError("scale covariance is asymmetric")
-        cov = (cov + cov.T) / 2.0
-        cholesky_lower(cov)
-        if self.standardized and np.abs(np.diag(cov) - 1.0).max() > SYMMETRY_TOL:
-            raise ValidationError("standardized scale covariance must have a unit diagonal")
-        loadings.setflags(write=False)
-        cov.setflags(write=False)
-        object.__setattr__(self, "loadings", loadings)
-        object.__setattr__(self, "scale_covariance", cov)
+        weights = cls(values)
+        arr = weights.values
+        if not np.isin(arr, (0.0, 1.0)).all():
+            raise ValidationError("fixed-pattern weights must be 0 or 1")
+        if (arr.sum(axis=1) > 1).any():
+            raise ValidationError("each indicator may feed at most one scale")
+        if (arr.sum(axis=0) < 1).any():
+            raise ValidationError("every scale needs at least one indicator")
+        return weights
 
 
 def _check_same_p(sigma: CorrelationMatrix, other_p: int, what: str) -> None:
@@ -110,7 +70,7 @@ def regression_weights(sigma: CorrelationMatrix, model: FactorModel) -> ScoreWei
     """Regression (Thurstone) factor score weights ``Sigma^-1 L Phi``."""
     _check_same_p(sigma, model.p, "loading matrix")
     weights = spd_solve(sigma.values, model.loadings @ model.factor_correlations)
-    return ScoreWeights(weights, WeightKind.REGRESSION)
+    return ScoreWeights(weights)
 
 
 def bartlett_weights(model: FactorModel) -> ScoreWeights:
@@ -123,7 +83,7 @@ def bartlett_weights(model: FactorModel) -> ScoreWeights:
     gram = lam.T @ lam_w
     gram = (gram + gram.T) / 2.0
     weights = spd_solve(gram, lam_w.T).T
-    return ScoreWeights(weights, WeightKind.BARTLETT)
+    return ScoreWeights(weights)
 
 
 def fs_implied_sigma(sigma: CorrelationMatrix, model: FactorModel) -> CorrelationMatrix:
@@ -154,24 +114,3 @@ def score_model_implied_sigma(sigma: CorrelationMatrix, weights: ScoreWeights) -
     implied = cross @ spd_solve(gram, cross.T)
     return CorrelationMatrix((implied + implied.T) / 2.0)
 
-
-def regression_component_loadings(
-    sigma: CorrelationMatrix, pattern: ScoreWeights, standardize: bool
-) -> ScaleModel:
-    """Component loadings ``Sigma B (B' Sigma B)^-1`` of composite scales.
-
-    With ``standardize`` the weights are rescaled so each scale has unit
-    variance; for a single scale on a correlation matrix the standardized
-    loadings are then the (not part-whole corrected) item-total correlations.
-    """
-    _check_same_p(sigma, pattern.p, "weight pattern")
-    b = pattern.values
-    gram = b.T @ sigma.values @ b
-    gram = (gram + gram.T) / 2.0
-    if standardize:
-        scale = 1.0 / np.sqrt(np.diag(gram))
-        b = b * scale[None, :]
-        gram = gram * np.outer(scale, scale)
-        gram = (gram + gram.T) / 2.0
-    loadings = spd_solve(gram, (sigma.values @ b).T).T
-    return ScaleModel(loadings, gram, standardized=bool(standardize))

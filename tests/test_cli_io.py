@@ -12,7 +12,6 @@ from scorefit import (
     MatrixParseError,
     ParallelSpec,
     SingularMatrixError,
-    ValidationError,
     build_parallel_sigma,
     parse_loadings,
     parse_matrix,
@@ -171,13 +170,6 @@ class TestParseMatrix:
         assert str(raised.value) == (
             f"{path}, line {lineno}: could not convert string to float: {token!r}"
         )
-
-    def test_require_unit_diagonal(self, tmp_path):
-        path = tmp_path / "cov.txt"
-        path.write_text("2.0 0.5\n0.5 1.0\n")
-        parse_matrix(path)  # fine as a covariance matrix
-        with pytest.raises(ValidationError, match="correlation"):
-            parse_matrix(path, require_unit_diagonal=True)
 
     def test_not_positive_definite_parses_silently(self, tmp_path):
         path = tmp_path / "ones.txt"

@@ -13,9 +13,8 @@ from scorefit import (
     ValidationError,
     build_parallel_sigma,
     factor_implied_sigma,
-    invert_spd,
 )
-from scorefit.model import cholesky_lower
+from scorefit.model import cholesky_lower, spd_solve
 
 
 class TestCorrelationMatrix:
@@ -145,43 +144,32 @@ class TestBuildParallelSigma:
         assert np.allclose(eig, expected, atol=1e-12)
 
 
-class TestInvertSpd:
-    def test_identity(self):
-        assert np.allclose(invert_spd(CorrelationMatrix(np.eye(4))).values, np.eye(4))
-
-    def test_two_by_two_closed_form(self):
-        inv = invert_spd(build_parallel_sigma(ParallelSpec(0.5, 2)))
-        assert np.allclose(inv.values, [[4 / 3, -2 / 3], [-2 / 3, 4 / 3]], atol=1e-14)
-
-    def test_stai_product_is_identity(self, stai_sigma):
-        inv = invert_spd(stai_sigma)
-        assert np.abs(stai_sigma.values @ inv.values - np.eye(stai_sigma.p)).max() < 1e-8
-
-    def test_involution(self, stai_sigma):
-        twice = invert_spd(invert_spd(stai_sigma))
-        assert np.abs(twice.values - stai_sigma.values).max() < 1e-7
+class TestSpdSolve:
+    def test_stai_solve_for_identity(self, stai_sigma):
+        x = spd_solve(stai_sigma.values, np.eye(stai_sigma.p))
+        assert np.abs(stai_sigma.values @ x - np.eye(stai_sigma.p)).max() < 1e-8
 
     def test_singular_names_pivot(self):
         singular = build_parallel_sigma(ParallelSpec(1.0, 3))
         with pytest.raises(SingularMatrixError, match="pivot 1") as excinfo:
-            invert_spd(singular)
+            spd_solve(singular.values, np.eye(3))
         assert excinfo.value.pivot_index == 1
 
     def test_near_singular_warns(self):
         r = 1.0 - 5e-7  # second pivot ~1e-6, above cutoff but inside warn band
         sigma = build_parallel_sigma(ParallelSpec(r, 2))
         with pytest.warns(NearSingularMatrixWarning):
-            inv = invert_spd(sigma)
-        assert np.abs(sigma.values @ inv.values - np.eye(2)).max() < 1e-6
+            x = spd_solve(sigma.values, np.eye(2))
+        assert np.abs(sigma.values @ x - np.eye(2)).max() < 1e-6
 
-    def test_only_inversion_warns_on_a_near_singular_matrix(self):
+    def test_only_solve_warns_on_a_near_singular_matrix(self):
         sigma = build_parallel_sigma(ParallelSpec(1.0 - 5e-7, 2))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             lower = cholesky_lower(sigma.values)
         assert np.allclose(lower @ lower.T, sigma.values, rtol=0.0, atol=1e-15)
         with pytest.warns(NearSingularMatrixWarning, match=r"smallest Cholesky pivot 1\.000e-06"):
-            invert_spd(sigma)
+            spd_solve(sigma.values, np.eye(2))
 
 
 def test_stai_matrix_is_positive_definite(stai_sigma):

@@ -6,15 +6,12 @@ from scorefit import (
     FactorModel,
     NearSingularMatrixWarning,
     ParallelSpec,
-    ScaleModel,
     ScoreWeights,
     SingularMatrixError,
     ValidationError,
-    WeightKind,
     bartlett_weights,
     build_parallel_sigma,
     fs_implied_sigma,
-    regression_component_loadings,
     regression_weights,
     score_model_implied_sigma,
 )
@@ -29,7 +26,6 @@ def one_factor_parallel(l, p):
 class TestScoreWeights:
     def test_unit_weights(self):
         w = ScoreWeights.unit(5)
-        assert w.kind is WeightKind.FIXED_PATTERN
         assert np.array_equal(w.values, np.ones((5, 1)))
 
     def test_fixed_pattern_rules(self):
@@ -43,7 +39,7 @@ class TestScoreWeights:
 
     def test_estimated_weights_must_be_finite(self):
         with pytest.raises(ValidationError):
-            ScoreWeights([[np.inf], [1.0]], WeightKind.REGRESSION)
+            ScoreWeights([[np.inf], [1.0]])
 
 
 class TestRegressionWeights:
@@ -53,7 +49,6 @@ class TestRegressionWeights:
         sigma, model = one_factor_parallel(l, p)
         w = regression_weights(sigma, model)
         assert np.allclose(w.values, l / (1 + (p - 1) * l * l), atol=1e-12)
-        assert w.kind is WeightKind.REGRESSION
 
     def test_identity_everything(self):
         sigma = CorrelationMatrix(np.eye(3))
@@ -143,19 +138,19 @@ class TestScoreModelImpliedSigma:
 
     def test_invariant_to_weight_rescaling(self, stai_sigma):
         base = score_model_implied_sigma(stai_sigma, ScoreWeights.unit(20))
-        scaled = ScoreWeights(np.full((20, 1), -3.7), WeightKind.REGRESSION)
+        scaled = ScoreWeights(np.full((20, 1), -3.7))
         other = score_model_implied_sigma(stai_sigma, scaled)
         assert np.abs(base.values - other.values).max() < 1e-10
 
     def test_collinear_scales_raise(self, stai_sigma):
-        w = ScoreWeights(np.ones((20, 2)), WeightKind.REGRESSION)  # identical scales
+        w = ScoreWeights(np.ones((20, 2)))  # identical scales
         with pytest.raises(SingularMatrixError):
             score_model_implied_sigma(stai_sigma, w)
 
     def test_nearly_collinear_scales_warn(self, stai_sigma):
         values = np.ones((20, 2))
         values[0, 1] = 1.0 + 2e-5
-        w = ScoreWeights(values, WeightKind.REGRESSION)
+        w = ScoreWeights(values)
         with pytest.warns(NearSingularMatrixWarning):
             score_model_implied_sigma(stai_sigma, w)
 
@@ -169,50 +164,6 @@ class TestScoreModelImpliedSigma:
             resid = sigma.values - implied.values
             assert np.diag(resid).min() >= -1e-10
             assert np.linalg.eigvalsh(resid).min() >= -1e-8
-
-
-class TestRegressionComponentLoadings:
-    @pytest.mark.parametrize("r,p", [(0.0, 4), (0.3, 6), (0.7, 9)])
-    def test_parallel_standardized_loadings(self, r, p):
-        sigma = build_parallel_sigma(ParallelSpec(r, p))
-        scale = regression_component_loadings(sigma, ScoreWeights.unit(p), standardize=True)
-        expected = np.sqrt((1 + (p - 1) * r) / p)
-        assert np.allclose(scale.loadings, expected, atol=1e-12)
-        assert scale.standardized
-        assert scale.scale_covariance[0, 0] == pytest.approx(1.0, abs=1e-12)
-
-    def test_identity_sigma(self):
-        sigma = CorrelationMatrix(np.eye(5))
-        scale = regression_component_loadings(sigma, ScoreWeights.unit(5), standardize=True)
-        assert np.allclose(scale.loadings, 1.0 / np.sqrt(5), atol=1e-14)
-
-    def test_stai_item_total_correlations(self, stai_sigma):
-        scale = regression_component_loadings(stai_sigma, ScoreWeights.unit(20), standardize=True)
-        # Independent route: corr(x_i, sum of all x) from the matrix alone.
-        ones = np.ones(20)
-        direct = (stai_sigma.values @ ones) / np.sqrt(ones @ stai_sigma.values @ ones)
-        assert np.abs(scale.loadings.ravel() - direct).max() < 1e-12
-        assert np.all((scale.loadings > 0) & (scale.loadings < 1))
-
-    def test_unstandardized_covariance_is_gram(self, stai_sigma):
-        pattern = ScoreWeights.fixed_pattern(
-            np.column_stack([np.r_[np.ones(10), np.zeros(10)], np.r_[np.zeros(10), np.ones(10)]])
-        )
-        scale = regression_component_loadings(stai_sigma, pattern, standardize=False)
-        gram = pattern.values.T @ stai_sigma.values @ pattern.values
-        assert np.allclose(scale.scale_covariance, gram, atol=1e-10)
-        assert not scale.standardized
-
-    def test_standardized_two_scales_unit_diag(self, stai_sigma):
-        pattern = ScoreWeights.fixed_pattern(
-            np.column_stack([np.r_[np.ones(10), np.zeros(10)], np.r_[np.zeros(10), np.ones(10)]])
-        )
-        scale = regression_component_loadings(stai_sigma, pattern, standardize=True)
-        assert np.allclose(np.diag(scale.scale_covariance), 1.0, atol=1e-12)
-
-    def test_scale_model_validates(self):
-        with pytest.raises(ValidationError, match="unit diagonal"):
-            ScaleModel(np.ones((2, 1)), [[2.0]], standardized=True)
 
 
 class TestEstimatorInvariance:
