@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import dataclasses
 import functools
 import hashlib
 import sys
@@ -195,21 +196,21 @@ def _cmd_fit_check(args) -> ReportDocument:
     if args.reflective and loadings is None:
         raise ValidationError("--reflective requires loadings")
 
-    notes = ()
+    fits, found = [], []
     if loadings is None:
         # No model inverts Sigma, so factor it here to note a non-PD matrix.
         # With loadings the factor-score model's own inversion rejects it.
         try:
             cholesky_lower(sigma.values)
         except SingularMatrixError as exc:
-            notes = (f"{matrix_path}: matrix is not positive definite ({exc})",)
-
-    fits = []
+            note = f"{matrix_path}: matrix is not positive definite ({exc})"
+            found.append(("unit_weighted", note))
 
     def fit(label, implied_sigma, *operands):
         try:
             implied, caught = _captured(implied_sigma, *operands)
-            fits.append((label, srmr(sigma, implied, notes + caught)))
+            fits.append((label, srmr(sigma, implied)))
+            found.extend((label, message) for message in caught)
         except ScorefitError as exc:
             # Name the model: a non-PD matrix fails only the models that invert it.
             # The exception keeps its class and attributes (such as pivot_index).
@@ -227,8 +228,8 @@ def _cmd_fit_check(args) -> ReportDocument:
     return ReportDocument(
         inputs=tuple(inputs),
         fits=tuple(fits),
+        warnings=tuple(found),
         include_residuals=args.residuals,
-        fmt=OutputFormat(args.format),
     )
 
 
@@ -241,33 +242,27 @@ def _cmd_closed_form(args) -> ReportDocument:
             ("levels", ",".join(repr(v) for v in sorted(args.curve))),
             ("p_range", f"{args.p_range.start}:{args.p_range.stop - 1}:{args.p_range.step}"),
         )
-        return ReportDocument(inputs=inputs, curve=tuple(points), fmt=OutputFormat(args.format))
+        return ReportDocument(inputs=inputs, curve=tuple(points))
 
     if args.solve_r is not None:
         if args.p is None:
             raise ValidationError("--solve-r requires --p")
         value = solve_r_for_srmr(args.solve_r, args.p)
         inputs = (("target_srmr", repr(args.solve_r)), ("p", str(args.p)))
-        return ReportDocument(
-            inputs=inputs, values=(("required_r", value),), fmt=OutputFormat(args.format)
-        )
+        return ReportDocument(inputs=inputs, values=(("required_r", value),))
 
     if args.min_p is not None:
         if args.r is None:
             raise ValidationError("--min-p requires --r")
         value = min_p_for_srmr(args.min_p, args.r)
         inputs = (("target_srmr", repr(args.min_p)), ("r", repr(args.r)))
-        return ReportDocument(
-            inputs=inputs, values=(("min_p", value),), fmt=OutputFormat(args.format)
-        )
+        return ReportDocument(inputs=inputs, values=(("min_p", value),))
 
     if args.r is None or args.p is None:
         raise ValidationError("closed-form needs --r and --p (or one of --solve-r/--min-p/--curve)")
     value = srmr_parallel_closed_form(args.r, args.p)
     inputs = (("r", repr(args.r)), ("p", str(args.p)))
-    return ReportDocument(
-        inputs=inputs, values=(("srmr", value),), fmt=OutputFormat(args.format)
-    )
+    return ReportDocument(inputs=inputs, values=(("srmr", value),))
 
 
 def _cmd_simulate(args) -> ReportDocument:
@@ -299,27 +294,28 @@ def _cmd_simulate(args) -> ReportDocument:
         ("replications", str(args.reps)),
         ("seed", str(args.seed)),
     )
-    return ReportDocument(inputs=inputs, cells=tuple(cells), fmt=OutputFormat(args.format))
+    return ReportDocument(inputs=inputs, cells=tuple(cells))
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        text = args.handler(args).render()
+        text = dataclasses.replace(args.handler(args), fmt=OutputFormat(args.format)).render()
     except ScorefitError as exc:
         print(f"scorefit: error: {exc}", file=sys.stderr)
         return 1
     if (malloc_trim := _malloc_trim()) is not None:
         malloc_trim(0)  # hand the pages freed while rendering back to the system
-    if args.out:
-        try:
-            Path(args.out).write_text(text)
-        except OSError as exc:
-            print(f"scorefit: error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return 1
-    else:
-        sys.stdout.write(text)
+    try:
+        if args.out:
+            # Echoed filenames keep their undecodable bytes, whatever the locale.
+            Path(args.out).write_text(text, encoding="utf-8", errors="surrogateescape")
+        else:
+            sys.stdout.write(text)
+    except (OSError, UnicodeEncodeError) as exc:
+        print(f"scorefit: error: cannot write {args.out or 'stdout'}: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

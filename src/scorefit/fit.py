@@ -23,13 +23,11 @@ class FitReport:
 
     srmr: float
     residuals: np.ndarray
-    warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
         resid = np.array(self.residuals, dtype=float)
         resid.setflags(write=False)
         object.__setattr__(self, "residuals", resid)
-        object.__setattr__(self, "warnings", tuple(self.warnings))
 
 
 def _srmr_from_residuals(resid: np.ndarray) -> np.ndarray:
@@ -42,11 +40,7 @@ def _srmr_from_residuals(resid: np.ndarray) -> np.ndarray:
     return np.sqrt(total / (p * (p + 1)))
 
 
-def srmr(
-    sigma: CorrelationMatrix,
-    sigma_model: CorrelationMatrix,
-    warnings: Iterable[str] = (),
-) -> FitReport:
+def srmr(sigma: CorrelationMatrix, sigma_model: CorrelationMatrix) -> FitReport:
     """Standardized root mean square residual between two covariance matrices.
 
     The residual is ``sigma - sigma_model``; swapping the arguments leaves the
@@ -59,7 +53,7 @@ def srmr(
     if sigma.p == 0:
         raise DimensionError("SRMR needs at least one indicator, got 0x0 matrices")
     resid = sigma.values - sigma_model.values
-    return FitReport(float(_srmr_from_residuals(resid)), resid, tuple(warnings))
+    return FitReport(float(_srmr_from_residuals(resid)), resid)
 
 
 def srmr_parallel_closed_form(r: float, p: int) -> float:

@@ -36,6 +36,27 @@ def _as_float_matrix(values, name: str) -> np.ndarray:
     return arr
 
 
+def _as_columns(values, name: str) -> np.ndarray:
+    arr = np.array(values, dtype=float)
+    if arr.ndim == 1:
+        arr = arr[:, None]
+    if arr.ndim != 2:
+        raise DimensionError(f"{name} must be 1-d or 2-d, got ndim={arr.ndim}")
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{name} contain non-finite entries")
+    return arr
+
+
+def _factor_correlations(values, q: int) -> np.ndarray:
+    phi = _as_float_matrix(values, "factor correlations")
+    if phi.shape != (q, q):
+        raise DimensionError(
+            f"factor correlations are {phi.shape}, expected ({q}, {q}) "
+            f"to match {q} loading columns"
+        )
+    return phi
+
+
 def cholesky_lower(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive definite matrix.
 
@@ -140,23 +161,12 @@ class FactorModel:
     uniquenesses: np.ndarray
 
     def __post_init__(self):
-        lam = np.array(self.loadings, dtype=float)
-        if lam.ndim == 1:
-            lam = lam[:, None]
-        if lam.ndim != 2:
-            raise DimensionError(f"loadings must be 1-d or 2-d, got ndim={lam.ndim}")
-        if not np.isfinite(lam).all():
-            raise ValidationError("loadings contain non-finite entries")
+        lam = _as_columns(self.loadings, "loadings")
         p, q = lam.shape
         if q < 1 or p < q:
             raise DimensionError(f"need p >= q >= 1, got p={p}, q={q}")
 
-        phi = _as_float_matrix(self.factor_correlations, "factor correlations")
-        if phi.shape != (q, q):
-            raise DimensionError(
-                f"factor correlations are {phi.shape}, expected ({q}, {q}) "
-                f"to match {q} loading columns"
-            )
+        phi = _factor_correlations(self.factor_correlations, q)
         if np.abs(phi - phi.T).max() > SYMMETRY_TOL:
             raise ValidationError("factor correlations are asymmetric")
         phi = (phi + phi.T) / 2.0
@@ -192,13 +202,13 @@ class FactorModel:
         """Model with unit implied variances: uniquenesses = 1 - diag(L Phi L').
 
         Requires completely standardized loadings, i.e. every implied communality
-        must stay below one.
+        must stay below one.  Loadings and factor correlations are checked for
+        shape and finiteness before the algebra; the constructor checks the rest.
         """
-        lam = np.array(loadings, dtype=float)
-        if lam.ndim == 1:
-            lam = lam[:, None]
+        lam = _as_columns(loadings, "loadings")
         q = lam.shape[1]
-        phi = np.eye(q) if factor_correlations is None else np.array(factor_correlations, dtype=float)
+        phi = np.eye(q) if factor_correlations is None else factor_correlations
+        phi = _factor_correlations(phi, q)
         communalities = np.diag(lam @ phi @ lam.T)
         uniq = 1.0 - communalities
         if (uniq <= 0.0).any():

@@ -55,12 +55,15 @@ class ReportDocument:
     """Everything one CLI invocation produced, ready to serialize.
 
     ``inputs`` echoes dimensions, checksums and parameters; ``fits`` holds
-    per-model fit reports; ``values`` holds scalar results; ``curve`` and
-    ``cells`` hold the tabular payloads of the curve and simulation commands.
+    per-model fit reports and ``warnings`` the (model, message) pairs raised
+    while fitting them, in the order found; ``values`` holds scalar results;
+    ``curve`` and ``cells`` hold the tabular payloads of the curve and
+    simulation commands.
     """
 
     inputs: tuple[tuple[str, str], ...] = ()
     fits: tuple[tuple[str, FitReport], ...] = ()
+    warnings: tuple[tuple[str, str], ...] = ()
     values: tuple[tuple[str, float], ...] = ()
     curve: tuple[CurvePoint, ...] = ()
     cells: tuple[SimulationCell, ...] = ()
@@ -88,9 +91,8 @@ class ReportDocument:
             width = max(len(label) for label, _ in self.fits)
             for label, report in self.fits:
                 lines.append(f"  {label.ljust(width)}  SRMR = {report.srmr:.4f}")
-            for label, report in self.fits:
-                for message in report.warnings:
-                    lines.append(f"  warning [{label}]: {message}")
+            for label, message in self.warnings:
+                lines.append(f"  warning [{label}]: {message}")
             if self.include_residuals:
                 for label, report in self.fits:
                     lines.append(f"residuals ({label})")
@@ -127,9 +129,8 @@ class ReportDocument:
             lines.append("record,model,i,j,value")
             for label, report in self.fits:
                 lines.append(f"srmr,{label},,,{_num(report.srmr)}")
-            for label, report in self.fits:
-                for message in report.warnings:
-                    lines.append(f"warning,{label},,,{_csv_quote(message)}")
+            for label, message in self.warnings:
+                lines.append(f"warning,{label},,,{_csv_quote(message)}")
             if self.include_residuals:
                 for label, report in self.fits:
                     # One row of the matrix is one join over [head, ",j,", text] * p,
@@ -177,7 +178,7 @@ class ReportDocument:
                 entry = {
                     "model": label,
                     "srmr": report.srmr,
-                    "warnings": list(report.warnings),
+                    "warnings": [msg for model, msg in self.warnings if model == label],
                 }
                 if self.include_residuals:
                     entry["residuals"] = report.residuals.tolist()

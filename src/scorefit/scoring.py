@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .model import CorrelationMatrix, FactorModel, spd_solve
+from .model import CorrelationMatrix, FactorModel, _as_columns, spd_solve
 
 
 @dataclass(frozen=True)
@@ -28,13 +28,7 @@ class ScoreWeights:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=float)
-        if arr.ndim == 1:
-            arr = arr[:, None]
-        if arr.ndim != 2:
-            raise DimensionError(f"weights must be 1-d or 2-d, got ndim={arr.ndim}")
-        if not np.isfinite(arr).all():
-            raise ValidationError("weights contain non-finite entries")
+        arr = _as_columns(self.values, "weights")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 

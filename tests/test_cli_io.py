@@ -1,7 +1,9 @@
 import ctypes
 import hashlib
+import io
 import json
 import math
+import os
 import sys
 import warnings
 
@@ -216,6 +218,12 @@ class TestParseLoadings:
         with pytest.raises(MatrixParseError, match="line 2"):
             parse_loadings(path)
 
+    def test_multi_value_row_names_line(self, tmp_path):
+        path = tmp_path / "l.txt"
+        path.write_text("0.5\n0.6 0.7\n0.8\n")
+        with pytest.raises(MatrixParseError, match="line 2: expected one loading per line, got 2$"):
+            parse_loadings(path)
+
     def test_count_mismatch(self, tmp_path):
         path = tmp_path / "l.txt"
         path.write_text("0.5\n0.6\n")
@@ -269,6 +277,40 @@ class TestFitCheckCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("scorefit: error: cannot write")
+
+    @staticmethod
+    def _matrix_with_undecodable_name(tmp_path):
+        # The byte 0xff decodes to a lone surrogate, which no strict codec encodes.
+        path = tmp_path / os.fsdecode(b"m\xff.txt")
+        write_matrix(path, build_parallel_sigma(ParallelSpec(0.3, 3)))
+        return path
+
+    def test_out_keeps_the_bytes_of_an_undecodable_filename(self, tmp_path, capsys):
+        matrix, out = self._matrix_with_undecodable_name(tmp_path), tmp_path / "r.txt"
+        assert main(["fit-check", "--matrix", str(matrix), "--out", str(out)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert f"matrix         {tmp_path}/m".encode() + b"\xff.txt\n" in out.read_bytes()
+
+    def test_strict_stdout_fails_on_stderr(self, tmp_path, capsys, monkeypatch):
+        matrix = self._matrix_with_undecodable_name(tmp_path)
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["fit-check", "--matrix", str(matrix)]) == 1
+        stdout.flush()
+        assert stdout.buffer.getvalue() == b""
+        err = capsys.readouterr().err
+        assert err.startswith("scorefit: error: cannot write stdout: ")
+        assert err.count("\n") == 1
+
+    def test_broken_stdout_fails_on_stderr(self, capsys, monkeypatch):
+        class BrokenPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", BrokenPipe())
+        assert main(["closed-form", "--r", "0.5", "--p", "6"]) == 1
+        err = capsys.readouterr().err
+        assert err == "scorefit: error: cannot write stdout: [Errno 32] Broken pipe\n"
 
     def test_reflective_requires_loadings(self, tmp_path, capsys):
         path = tmp_path / "eye.txt"

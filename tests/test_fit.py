@@ -70,10 +70,6 @@ class TestSrmr:
         expected = np.array([srmr(a, b).srmr for a, b in pairs])
         assert np.array_equal(_srmr_from_residuals(stack), expected)
 
-    def test_metadata_carried(self, stai_sigma):
-        report = srmr(stai_sigma, stai_sigma, ["note"])
-        assert report.warnings == ("note",)
-
 
 class TestClosedForm:
     def test_exactly_zero_at_full_correlation(self):

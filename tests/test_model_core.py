@@ -78,6 +78,26 @@ class TestFactorModel:
         assert model.loadings.shape == (4, 1)
         assert (model.p, model.q) == (4, 1)
 
+    @pytest.mark.parametrize("build", [
+        lambda lam: FactorModel(lam, np.eye(1), np.full(3, 0.75)),
+        FactorModel.from_standardized_loadings,
+    ], ids=["constructor", "from_standardized"])
+    @pytest.mark.parametrize("loadings, error, message", [
+        (np.full((3, 1, 1), 0.5), DimensionError, "^loadings must be 1-d or 2-d, got ndim=3$"),
+        ([0.5, np.nan, 0.5], ValidationError, "^loadings contain non-finite entries$"),
+    ], ids=["3-d", "non-finite"])
+    def test_rejects_bad_loadings(self, build, loadings, error, message):
+        with pytest.raises(error, match=message):
+            build(loadings)
+
+    def test_rejects_asymmetric_factor_correlations(self):
+        with pytest.raises(ValidationError, match="^factor correlations are asymmetric$"):
+            FactorModel(np.full((3, 2), 0.5), [[1.0, 0.2], [0.3, 1.0]], np.ones(3))
+
+    def test_from_standardized_loadings_checks_factor_correlation_shape(self):
+        with pytest.raises(DimensionError, match=r"are \(2, 2\), expected \(1, 1\)"):
+            FactorModel.from_standardized_loadings([0.5, 0.6], np.eye(2))
+
 
 class TestFactorImpliedSigma:
     def test_one_factor_parallel_expansion(self):

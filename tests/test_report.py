@@ -184,10 +184,13 @@ class TestSections:
     )
     WARNINGS = dict(
         fits=(
-            ("unit_weighted", FitReport(0.25, np.zeros((2, 2)), warnings=(
-                'smallest Cholesky pivot 1e-07, "near" singular', "two\nlines",
-            ))),
-            ("reflective", FitReport(0.5, np.zeros((2, 2)), warnings=("plain",))),
+            ("unit_weighted", FitReport(0.25, np.zeros((2, 2)))),
+            ("reflective", FitReport(0.5, np.zeros((2, 2)))),
+        ),
+        warnings=(
+            ("unit_weighted", 'smallest Cholesky pivot 1e-07, "near" singular'),
+            ("unit_weighted", "two\nlines"),
+            ("reflective", "plain"),
         ),
     )
 
@@ -313,6 +316,28 @@ class TestSections:
             warning,unit_weighted,,,"two
             lines"
             warning,reflective,,,plain
+            """),
+        (OutputFormat.JSON, """
+            {
+              "inputs": {},
+              "fits": [
+                {
+                  "model": "unit_weighted",
+                  "srmr": 0.25,
+                  "warnings": [
+                    "smallest Cholesky pivot 1e-07, \\"near\\" singular",
+                    "two\\nlines"
+                  ]
+                },
+                {
+                  "model": "reflective",
+                  "srmr": 0.5,
+                  "warnings": [
+                    "plain"
+                  ]
+                }
+              ]
+            }
             """),
     ])
     def test_warning_rows(self, fmt, expected):

@@ -3,6 +3,7 @@ import pytest
 
 from scorefit import (
     CorrelationMatrix,
+    DimensionError,
     FactorModel,
     NearSingularMatrixWarning,
     ParallelSpec,
@@ -40,6 +41,13 @@ class TestScoreWeights:
     def test_estimated_weights_must_be_finite(self):
         with pytest.raises(ValidationError):
             ScoreWeights([[np.inf], [1.0]])
+
+    def test_one_dim_weights_become_column(self):
+        assert ScoreWeights([0.5, 1.0, 2.0]).values.shape == (3, 1)
+
+    def test_rejects_three_dim_weights(self):
+        with pytest.raises(DimensionError, match="^weights must be 1-d or 2-d, got ndim=3$"):
+            ScoreWeights(np.ones((3, 1, 1)))
 
 
 class TestRegressionWeights:
@@ -124,6 +132,10 @@ class TestScoreModelImpliedSigma:
         sigma = build_parallel_sigma(ParallelSpec(r, p))
         implied = score_model_implied_sigma(sigma, ScoreWeights.unit(p))
         assert np.allclose(implied.values, np.full((p, p), r + (1 - r) / p), atol=1e-13)
+
+    def test_weight_rows_must_match_the_matrix(self, stai_sigma):
+        with pytest.raises(DimensionError, match="^weight matrix has 19 rows but the matrix has 20$"):
+            score_model_implied_sigma(stai_sigma, ScoreWeights.unit(19))
 
     def test_single_indicator_returns_sigma(self):
         sigma = CorrelationMatrix([[2.5]])

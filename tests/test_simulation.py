@@ -139,6 +139,10 @@ class TestSampleCorrelation:
         with pytest.raises(ValidationError):
             sample_correlation(np.full(5, 0.5), 5, rng_for(4))
 
+    def test_loading_beyond_one_rejected(self):
+        with pytest.raises(ValidationError, match=r"must lie in \[-1, 1\]"):
+            sample_correlation([0.5, -1.01, 0.5], 50, rng_for(4))
+
     @pytest.mark.parametrize("p, n", [(2, 3), (6, 7), (24, 25), (24, 900)])
     def test_standardized_and_symmetric(self, p, n):
         values = sample_correlation(np.linspace(0.1, 0.9, p), n, rng_for(p)).values
@@ -299,6 +303,11 @@ class TestSimulationConfig:
             SimulationConfig(indicator_counts=(6, 1))
         with pytest.raises(ValidationError, match="above 2\\*\\*63"):
             SimulationConfig(sample_sizes=(150, 2**63 + 1))
+
+    @pytest.mark.parametrize("axis", ["sample_sizes", "mean_loadings", "indicator_counts"])
+    def test_rejects_an_empty_grid_axis(self, axis):
+        with pytest.raises(ValidationError, match="must be non-empty"):
+            SimulationConfig(**{axis: ()})
 
     def test_variable_odd_p_fails_at_construction(self):
         # Every p is checked up front, with the message its cell would raise.
