@@ -33,14 +33,6 @@ from .scoring import ScoreWeights, fs_implied_sigma, score_model_implied_sigma
 from .simulation import LoadingPattern, SimulationConfig, run_simulation
 
 
-def _captured(fn, *args, **kwargs):
-    """Run fn, returning (result, tuple of warning messages it emitted)."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = fn(*args, **kwargs)
-    return result, tuple(str(w.message) for w in caught)
-
-
 @functools.cache
 def _malloc_trim():
     """glibc's ``malloc_trim``, or None where the C library has none.
@@ -94,7 +86,7 @@ def _add_output_flags(sub: argparse.ArgumentParser, default_format: str) -> None
         "--format",
         choices=[f.value for f in OutputFormat],
         default=default_format,
-        help=f"output format (default: {default_format})",
+        help="output format (default: %(default)s)",
     )
     sub.add_argument("--out", metavar="PATH", help="write the report to PATH instead of stdout")
 
@@ -149,17 +141,23 @@ def _build_parser() -> argparse.ArgumentParser:
     closed.set_defaults(handler=_cmd_closed_form)
 
     sim = sub.add_parser("simulate", help="Monte Carlo study of the unit-weighted-scale SRMR")
-    sim.add_argument("--n", type=_list_of(int), default=(150, 300, 900), metavar="N1,N2,...")
-    sim.add_argument("--l", type=_list_of(float), default=(0.2, 0.4, 0.6, 0.8), metavar="L1,L2,...")
-    sim.add_argument("--p", type=_list_of(int), default=(6, 12, 24), metavar="P1,P2,...")
+    design = SimulationConfig  # its class attributes are the field defaults
+    sim.add_argument("--n", type=_list_of(int), default=design.sample_sizes, metavar="N1,N2,...")
+    sim.add_argument("--l", type=_list_of(float), default=design.mean_loadings, metavar="L1,L2,...")
+    sim.add_argument("--p", type=_list_of(int), default=design.indicator_counts, metavar="P1,P2,...")
     sim.add_argument(
         "--pattern",
-        choices=["constant", "variable", "both"],
+        choices=[pattern.value for pattern in LoadingPattern] + ["both"],
         default="both",
-        help="loading pattern(s) to simulate (default: both)",
+        help="loading pattern(s) to simulate (default: %(default)s)",
     )
-    sim.add_argument("--reps", type=int, default=1000, help="replications per cell (default: 1000)")
-    sim.add_argument("--seed", type=int, default=1234, help="master seed (default: 1234)")
+    sim.add_argument(
+        "--reps",
+        type=int,
+        default=design.replications,
+        help="replications per cell (default: %(default)s)",
+    )
+    sim.add_argument("--seed", type=int, default=design.seed, help="master seed (default: %(default)s)")
     sim.add_argument(
         "--workers",
         type=int,
@@ -196,6 +194,7 @@ def _cmd_fit_check(args) -> ReportDocument:
     if args.reflective and loadings is None:
         raise ValidationError("--reflective requires loadings")
 
+    models = [("unit_weighted", score_model_implied_sigma, (sigma, ScoreWeights.unit(sigma.p)))]
     fits, found = [], []
     if loadings is None:
         # No model inverts Sigma, so factor it here to note a non-PD matrix.
@@ -205,25 +204,25 @@ def _cmd_fit_check(args) -> ReportDocument:
         except SingularMatrixError as exc:
             note = f"{matrix_path}: matrix is not positive definite ({exc})"
             found.append(("unit_weighted", note))
+    else:
+        # Validate the loadings before any model is scored.
+        model = FactorModel.from_standardized_loadings(loadings)
+        models.append(("factor_score", fs_implied_sigma, (sigma, model)))
+        if args.reflective:
+            models.append(("reflective", factor_implied_sigma, (model,)))
 
-    def fit(label, implied_sigma, *operands):
+    for label, implied_sigma, operands in models:
         try:
-            implied, caught = _captured(implied_sigma, *operands)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                implied = implied_sigma(*operands)
             fits.append((label, srmr(sigma, implied)))
-            found.extend((label, message) for message in caught)
         except ScorefitError as exc:
             # Name the model: a non-PD matrix fails only the models that invert it.
             # The exception keeps its class and attributes (such as pivot_index).
             exc.args = (f"{label} model: {exc}",) + exc.args[1:]
             raise
-
-    unit = ScoreWeights.unit(sigma.p)
-    fit("unit_weighted", score_model_implied_sigma, sigma, unit)
-    if loadings is not None:
-        model = FactorModel.from_standardized_loadings(loadings)
-        fit("factor_score", fs_implied_sigma, sigma, model)
-        if args.reflective:
-            fit("reflective", factor_implied_sigma, model)
+        found.extend((label, str(w.message)) for w in caught)
 
     return ReportDocument(
         inputs=tuple(inputs),
@@ -266,11 +265,7 @@ def _cmd_closed_form(args) -> ReportDocument:
 
 
 def _cmd_simulate(args) -> ReportDocument:
-    patterns = {
-        "constant": (LoadingPattern.CONSTANT,),
-        "variable": (LoadingPattern.VARIABLE,),
-        "both": (LoadingPattern.CONSTANT, LoadingPattern.VARIABLE),
-    }[args.pattern]
+    patterns = tuple(LoadingPattern) if args.pattern == "both" else (LoadingPattern(args.pattern),)
     # Validate every pattern's config before any grid runs.
     configs = [
         SimulationConfig(

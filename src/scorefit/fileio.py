@@ -1,10 +1,11 @@
 """Plain-text ingestion of correlation matrices and loading vectors.
 
-Files hold one matrix row per line, comma-, semicolon- or whitespace-delimited,
-with optional ``*``-prefixed comment lines.  The delimiter and the layout are
-always detected from the text; there is no override.  A lower triangle (row i
-holding i entries, diagonal included) is mirrored across the diagonal; anything
-else must be a full square matrix.
+Files are UTF-8, a leading byte order mark ignored.  They hold one matrix row
+per line, comma-, semicolon- or whitespace-delimited, with optional
+``*``-prefixed comment lines.  The delimiter and the layout are always detected
+from the text; there is no override.  A lower triangle (row i holding i
+entries, diagonal included) is mirrored across the diagonal; anything else must
+be a full square matrix.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ def _tokenize(label: str, text: str) -> list[tuple[int, list[float]]]:
 
 def _read_rows(path: Path) -> list[tuple[int, list[float]]]:
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise MatrixParseError(f"cannot read {path}: {exc}") from exc
     return _tokenize(str(path), text)

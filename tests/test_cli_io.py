@@ -127,6 +127,12 @@ class TestParseMatrix:
         parsed = parse_matrix(path)
         assert parsed.values[0, 1] == 0.5
 
+    def test_leading_byte_order_mark_is_ignored(self, tmp_path):
+        # Spreadsheet "CSV UTF-8" exports start with a BOM; here it precedes a comment.
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf* exported\n1.0\n0.3,1.0\n")
+        assert parse_matrix(path).values.tolist() == [[1.0, 0.3], [0.3, 1.0]]
+
     def test_ragged_rows_name_the_line(self, tmp_path):
         path = tmp_path / "bad.txt"
         # Rows of 1, 2 and 2 entries are no triangle, so they must form a full
@@ -211,6 +217,11 @@ class TestParseLoadings:
         path = tmp_path / "l.txt"
         path.write_text("1.0\n")
         assert np.allclose(parse_loadings(path), [1.0])
+
+    def test_leading_byte_order_mark_is_ignored(self, tmp_path):
+        path = tmp_path / "l.csv"
+        path.write_bytes(b"\xef\xbb\xbf0.5\n0.6\n")
+        assert parse_loadings(path).tolist() == [0.5, 0.6]
 
     def test_malformed_names_line(self, tmp_path):
         path = tmp_path / "l.txt"
@@ -376,6 +387,16 @@ class TestFitCheckCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("scorefit: error: factor_score model: Cholesky pivot 1 is ")
+
+    def test_loadings_are_checked_before_any_model_is_scored(self, tmp_path, capsys):
+        # Sigma is singular too, so scoring the unit-weighted model first would fail.
+        matrix, loadings = tmp_path / "m.txt", tmp_path / "l.txt"
+        matrix.write_text("1 -1\n-1 1\n")
+        loadings.write_text("1.0\n0.5\n")
+        assert main(["fit-check", "--matrix", str(matrix), "--loadings", str(loadings)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("scorefit: error: communality of indicator 0 is 1.0000 >= 1; ")
 
     def test_near_singular_matrix_warns_only_the_model_that_inverts_it(self, tmp_path, capsys):
         matrix, loadings = tmp_path / "near.txt", tmp_path / "l.txt"
