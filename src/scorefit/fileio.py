@@ -4,8 +4,8 @@ Files are UTF-8, a leading byte order mark ignored.  They hold one matrix row
 per line, comma-, semicolon- or whitespace-delimited, with optional
 ``*``-prefixed comment lines.  The delimiter and the layout are always detected
 from the text; there is no override.  A lower triangle (row i holding i
-entries, diagonal included) is mirrored across the diagonal; anything else must
-be a full square matrix.
+entries, diagonal included) is mirrored across the diagonal, a step that cannot
+overflow; anything else must be a full square matrix.
 """
 
 from __future__ import annotations
@@ -81,8 +81,8 @@ def _assemble(label: str, rows: list[tuple[int, list[float]]]) -> np.ndarray:
         full = np.zeros((p, p))
         for i, (_, values) in enumerate(rows):
             full[i, : i + 1] = values
-        # Mirror exactly as the matrix-language oracle does: M + M' - diag(M).
-        return full + full.T - np.diag(np.diag(full))
+        # The oracle's M + M' - diag(M) bit for bit where that is finite, never doubling diag(M).
+        return full + np.tril(full, -1).T
 
     for lineno, values in rows:
         if len(values) != p:

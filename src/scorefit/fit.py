@@ -44,7 +44,8 @@ def srmr(sigma: CorrelationMatrix, sigma_model: CorrelationMatrix) -> FitReport:
     """Standardized root mean square residual between two covariance matrices.
 
     The residual is ``sigma - sigma_model``; swapping the arguments leaves the
-    value unchanged.  Identical matrices give exactly zero.
+    value unchanged.  Identical matrices give exactly zero.  Residuals too
+    large to square in binary64 raise :class:`ValidationError`.
     """
     if sigma.p != sigma_model.p:
         raise DimensionError(
@@ -52,8 +53,12 @@ def srmr(sigma: CorrelationMatrix, sigma_model: CorrelationMatrix) -> FitReport:
         )
     if sigma.p == 0:
         raise DimensionError("SRMR needs at least one indicator, got 0x0 matrices")
-    resid = sigma.values - sigma_model.values
-    return FitReport(float(_srmr_from_residuals(resid)), resid)
+    with np.errstate(over="ignore"):
+        resid = sigma.values - sigma_model.values
+        value = float(_srmr_from_residuals(resid))
+    if not math.isfinite(value):
+        raise ValidationError("the SRMR is not finite: the residuals are too large to square")
+    return FitReport(value, resid)
 
 
 def srmr_parallel_closed_form(r: float, p: int) -> float:
@@ -158,10 +163,8 @@ def required_r_curve(
         raise ValidationError("the curve needs a non-empty p range")
     points = []
     for p in ps:
+        ceiling = srmr_parallel_closed_form(0.0, p)  # solve_r_for_srmr's, once per p
         for level in levels:
-            try:
-                required = solve_r_for_srmr(level, p)
-            except NoSolutionError:
-                required = None
+            required = 1.0 - level / ceiling if level <= ceiling else None
             points.append(CurvePoint(p, level, required))
     return points

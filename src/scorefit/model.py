@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,8 @@ NEAR_SINGULAR_TOL = 1e-6
 
 
 def _as_float_matrix(values, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+    # No copy of a float64 array: every caller replaces or only reads it.
+    arr = np.asarray(values, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"{name} must be a square 2-d array, got shape {arr.shape}")
     if not np.isfinite(arr).all():
@@ -105,36 +106,30 @@ def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class CorrelationMatrix:
     """A p x p symmetric matrix of indicator inter-correlations or covariances.
 
-    Inputs are symmetrized as ``(M + M') / 2`` on ingestion; asymmetry beyond
-    ``SYMMETRY_TOL`` is rejected.  ``is_standardized`` is detected from the
-    data: true when the diagonal is all ones and every off-diagonal entry lies
-    in [-1, 1] (within tolerance).  Positive definiteness is not required at
-    construction; operations that invert the matrix enforce it.
+    Inputs are symmetrized as ``M / 2 + M' / 2`` on ingestion, which cannot
+    overflow; asymmetry beyond ``SYMMETRY_TOL`` is rejected.  Positive
+    definiteness is not required at construction; operations that invert the
+    matrix enforce it.
 
     Instances are immutable: the stored array is a read-only copy.
     """
 
     values: np.ndarray
-    is_standardized: bool = field(init=False)
 
     def __post_init__(self):
         arr = _as_float_matrix(self.values, "correlation matrix")
-        asym = np.abs(arr - arr.T).max() if arr.size else 0.0
+        with np.errstate(over="ignore"):  # +-1e308 pairs: inf, and rejected below
+            asym = np.abs(arr - arr.T).max() if arr.size else 0.0
         if asym > SYMMETRY_TOL:
             raise ValidationError(
                 f"matrix is asymmetric: max |m[i,j] - m[j,i]| = {asym:.3e} "
                 f"exceeds {SYMMETRY_TOL:g}"
             )
-        arr = (arr + arr.T) / 2.0
-        diag = np.diag(arr)
-        off = arr - np.diag(diag)
-        standardized = bool(
-            np.abs(diag - 1.0).max(initial=0.0) <= SYMMETRY_TOL
-            and np.abs(off).max(initial=0.0) <= 1.0 + SYMMETRY_TOL
-        )
+        # M/2 + M'/2: exactly symmetric, no overflow, and (M + M')/2 in the normal range.
+        half = arr / 2.0
+        arr = half + half.T
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "is_standardized", standardized)
 
     @property
     def p(self) -> int:

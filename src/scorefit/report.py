@@ -41,7 +41,7 @@ def _entry_texts(resid: np.ndarray, fmt: Callable[[float], str]) -> list[list[st
     if not np.array_equal(bits, bits.T):
         return [list(map(fmt, row)) for row in resid.tolist()]
     # Mirroring is exact for srmr() residuals: both operands were symmetrized
-    # as (M + M')/2, and IEEE subtraction keeps that symmetry.
+    # as M/2 + M'/2, and IEEE subtraction keeps that symmetry.
     p = len(resid)
     upper = np.triu_indices(p)
     texts = np.array(list(map(fmt, resid[upper].tolist())), dtype=object)

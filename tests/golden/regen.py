@@ -79,6 +79,12 @@ _ONCE = {
         "fit-check", "--matrix", "double_fault.txt", "--loadings", "double_fault_loadings.txt",
     ],
     "fit-check-bom": ["fit-check", "--matrix", "bom.txt"],
+    # Entries too large to square: an error, never an SRMR of inf.
+    "fit-check-lower-1e308": ["fit-check", "--matrix", "lower_1e308.txt"],
+    "fit-check-full-1e308": ["fit-check", "--matrix", "full_1e308.txt"],
+    "fit-check-diagonal-1e200.json": [
+        "fit-check", "--matrix", "diagonal_1e200.txt", "--format", "json",
+    ],
     "fit-check-reflective-without-loadings": [
         "fit-check", "--matrix", "ones.txt", "--reflective",
     ],

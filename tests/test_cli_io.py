@@ -9,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scorefit import (
     MatrixParseError,
@@ -22,6 +24,7 @@ from scorefit import (
 import scorefit.model
 from scorefit import cli, datasets
 from scorefit.cli import main
+from scorefit.fileio import _assemble
 
 # Independent transcription of the bundled data, compared field by field
 # against what the package embeds.
@@ -190,6 +193,28 @@ class TestParseMatrix:
     def test_missing_file(self):
         with pytest.raises(MatrixParseError, match="cannot read"):
             parse_matrix("/no/such/file.txt")
+
+
+_ENTRY = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308]
+)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data(), p=st.integers(2, 6))
+def test_lower_triangle_mirror_matches_the_oracle_wherever_it_is_finite(data, p):
+    rows = [(i + 1, data.draw(st.lists(_ENTRY, min_size=i + 1, max_size=i + 1))) for i in range(p)]
+    full = np.zeros((p, p))
+    for i, (_, values) in enumerate(rows):
+        full[i, : i + 1] = values
+    with np.errstate(over="ignore", invalid="ignore"):
+        oracle = full + full.T - np.diag(np.diag(full))
+    mirrored = _assemble("m.txt", rows)
+    bits = mirrored.view(np.uint64)
+    assert np.array_equal(bits, bits.T)
+    assert np.array_equal(np.tril(mirrored), np.tril(full))
+    finite = np.isfinite(oracle)
+    assert np.array_equal(bits[finite], oracle.view(np.uint64)[finite])
 
 
 @pytest.mark.parametrize("parse", [parse_matrix, parse_loadings])

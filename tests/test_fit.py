@@ -70,6 +70,13 @@ class TestSrmr:
         expected = np.array([srmr(a, b).srmr for a, b in pairs])
         assert np.array_equal(_srmr_from_residuals(stack), expected)
 
+    @pytest.mark.parametrize("diagonal, other", [(1e200, 1.0), (1e308, -1e308)])
+    def test_residuals_too_large_to_square_raise(self, diagonal, other):
+        sigma = CorrelationMatrix([[diagonal, 0.5], [0.5, diagonal]])
+        model = CorrelationMatrix([[other, 0.5], [0.5, other]])
+        with pytest.raises(ValidationError, match="SRMR is not finite"):
+            srmr(sigma, model)
+
 
 class TestClosedForm:
     def test_exactly_zero_at_full_correlation(self):
@@ -253,6 +260,24 @@ class TestRequiredRCurve:
         points = required_r_curve([0.51], [2, 3])
         assert points[0].required_r is None
         assert points[1].required_r is not None
+
+    @pytest.mark.parametrize("levels, ps", [
+        ([0.04, 0.06, 0.08, 0.09, 0.12], range(4, 1001)),  # the benchmark's curve
+        # K(2) = 0.5 < K(3): levels at and between the two ceilings, from p = 2.
+        ([1e-300, 0.09, 0.5, 0.51, srmr_parallel_closed_form(0.0, 3), 0.6], range(2, 50)),
+    ])
+    def test_matches_the_per_point_solver_bit_for_bit(self, levels, ps):
+        def solved(level, p):
+            try:
+                return solve_r_for_srmr(level, p)
+            except NoSolutionError:
+                return None
+
+        expected = [(p, level, solved(level, p)) for p in ps for level in sorted(levels)]
+        points = required_r_curve(levels, ps)
+        # repr tells -0.0 from 0.0 and prints every bit of a float.
+        assert repr([(pt.p, pt.srmr_level, pt.required_r) for pt in points]) == repr(expected)
+        assert any(r is None for _, _, r in expected)
 
     def test_rejects_bad_levels(self):
         with pytest.raises(ValidationError):

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scorefit import (
     CorrelationMatrix,
@@ -36,16 +38,50 @@ class TestCorrelationMatrix:
         with pytest.raises(ValidationError, match="non-finite"):
             CorrelationMatrix([[1.0, np.nan], [np.nan, 1.0]])
 
-    def test_standardized_detection(self):
-        assert CorrelationMatrix([[1.0, 0.5], [0.5, 1.0]]).is_standardized
-        assert not CorrelationMatrix([[2.0, 0.5], [0.5, 1.0]]).is_standardized
-        # Unit diagonal but an impossible off-diagonal entry.
-        assert not CorrelationMatrix([[1.0, 1.5], [1.5, 1.0]]).is_standardized
+    def test_opposite_huge_entries_are_asymmetric_without_overflow(self):
+        with pytest.raises(ValidationError, match="asymmetric.*= inf"):
+            CorrelationMatrix([[1.0, 1e308], [-1e308, 1.0]])
+
+    def test_huge_entries_symmetrize_without_overflow(self):
+        values = CorrelationMatrix([[1e308, 1.7e308], [1.7e308, 1e308]]).values
+        assert np.array_equal(values, [[1e308, 1.7e308], [1.7e308, 1e308]])
 
     def test_values_are_read_only(self):
         cm = CorrelationMatrix(np.eye(3))
         with pytest.raises(ValueError):
             cm.values[0, 0] = 2.0
+
+
+_NORMAL_HALVES = 2.0 * np.finfo(float).tiny  # below this, x / 2 rounds
+
+
+@st.composite
+def _near_symmetric(draw):
+    """A square matrix whose upper triangle mirrors the lower one up to 5e-11."""
+    p = draw(st.integers(1, 5))
+    entry = st.floats(allow_nan=False, allow_infinity=False)
+    lower = np.array(draw(st.lists(entry, min_size=p * p, max_size=p * p))).reshape(p, p)
+    noise = np.array(draw(st.lists(
+        st.floats(-5e-11, 5e-11) | st.sampled_from([0.0, -0.0, 5e-324]),
+        min_size=p * p, max_size=p * p,
+    ))).reshape(p, p)
+    return np.tril(lower) + np.triu(lower.T, 1) + np.triu(noise, 1)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(m=_near_symmetric())
+def test_symmetrization_matches_the_mean_form_for_normal_entries(m):
+    """``M/2 + M'/2`` is exactly symmetric and never overflows, and equals the
+    old ``(M + M')/2`` bit for bit wherever both entries halve exactly."""
+    values = CorrelationMatrix(m).values
+    bits = values.view(np.uint64)
+    assert np.array_equal(bits, bits.T)
+    assert np.isfinite(values).all()
+    with np.errstate(over="ignore"):
+        old = (m + m.T) / 2.0
+    halves_exactly = (m == 0.0) | (np.abs(m) >= _NORMAL_HALVES)
+    same = np.isfinite(old) & halves_exactly & halves_exactly.T
+    assert np.array_equal(bits[same], old.view(np.uint64)[same])
 
 
 class TestFactorModel:
@@ -107,7 +143,7 @@ class TestFactorImpliedSigma:
         expected = np.full((5, 5), l * l)
         np.fill_diagonal(expected, 1.0)
         assert np.allclose(sigma.values, expected, atol=1e-15)
-        assert sigma.is_standardized
+        assert np.allclose(np.diag(sigma.values), 1.0, rtol=0.0, atol=1e-15)
 
     def test_null_model_gives_identity(self):
         model = FactorModel(np.zeros(4), np.eye(1), np.ones(4))
@@ -146,7 +182,6 @@ class TestBuildParallelSigma:
         off = sigma.values[~np.eye(6, dtype=bool)]
         assert np.all(off == 0.36)
         assert np.all(np.diag(sigma.values) == 1.0)
-        assert sigma.is_standardized
 
     def test_rejects_bad_spec(self):
         with pytest.raises(ValidationError):

@@ -113,8 +113,8 @@ class TestSampleCorrelation:
 
     def test_is_standardized(self):
         sample = sample_correlation(np.full(4, 0.5), 50, rng_for(1))
-        assert sample.is_standardized
         assert np.allclose(np.diag(sample.values), 1.0, atol=1e-12)
+        assert np.abs(sample.values).max() <= 1.0
 
     def test_independence_smoke(self):
         # Zero loadings: off-diagonals shrink like 1/sqrt(n).
@@ -157,7 +157,9 @@ class TestSampleCorrelation:
         assert isinstance(caught.value, ScorefitError)
 
     def test_one_unit_loading_is_still_positive_definite(self):
-        assert sample_correlation([1.0, 0.5, 0.5], 50, rng_for(7)).is_standardized
+        values = sample_correlation([1.0, 0.5, 0.5], 50, rng_for(7)).values
+        assert np.array_equal(np.diag(values), np.ones(3))
+        assert np.abs(values).max() <= 1.0
 
     def test_null_population_matches_exact_correlation_moment(self):
         # With uncorrelated indicators r^2 ~ Beta(1/2, (n-2)/2), so E[r^2] is
