@@ -91,7 +91,15 @@ def _add_output_flags(sub: argparse.ArgumentParser, default_format: str) -> None
     sub.add_argument("--out", metavar="PATH", help="write the report to PATH instead of stdout")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``scorefit`` parser, built once per process.
+
+    Building it costs about ten times a ``parse_args`` call, which is most of
+    a ``closed-form`` call.  Parsing only reads the tree: each call gets a new
+    namespace, and help and usage text are formatted, at the terminal width
+    then in effect, only when printed.
+    """
     parser = argparse.ArgumentParser(
         prog="scorefit",
         description=(

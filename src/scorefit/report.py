@@ -150,9 +150,23 @@ class ReportDocument:
                 lines.append(f"{key},{_num(value)}")
         if self.curve:
             lines.append("p,srmr_level,required_r")
+            # required_r_curve shares one level object among every p, so each is
+            # formatted once.  Keyed by identity, not value: 1 and 1.0, or 0.0 and
+            # -0.0, are equal keys with different texts.  self.curve keeps every
+            # level alive, so no id is reused during the loop.
+            level_texts = {}
             for point in self.curve:
-                r_txt = "unattainable" if point.required_r is None else _num(point.required_r)
-                lines.append(f"{point.p},{_num(point.srmr_level)},{r_txt}")
+                level, r = point.srmr_level, point.required_r
+                level_txt = level_texts.get(id(level))
+                if level_txt is None:
+                    level_txt = level_texts[id(level)] = _num(level)
+                if r is None:
+                    r_txt = "unattainable"
+                elif type(r) is float:  # _num's text, without its dispatch
+                    r_txt = repr(r)
+                else:
+                    r_txt = _num(r)
+                lines.append(f"{point.p},{level_txt},{r_txt}")
         if self.cells:
             lines.append(
                 "n,l,r,p,pattern,population_srmr,mean_srmr_s,sd_srmr_s,replications_used"

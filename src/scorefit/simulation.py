@@ -156,7 +156,9 @@ def _bartlett_correlations(
     scatter = a @ a.transpose(0, 2, 1)
     d = np.diagonal(scatter, axis1=1, axis2=2)
     # a is spent: it takes sqrt(d_i d_j), and scatter is divided by it in place.
-    np.multiply(d[:, :, None], d[:, None, :], out=a)
+    # einsum's outer product is one multiply per entry, as broadcasting is,
+    # but it does not run a separate inner loop for each row of p.
+    np.einsum("ri,rj->rij", d, d, out=a)
     np.sqrt(a, out=a)
     return np.divide(scatter, a, out=scatter)
 
@@ -171,7 +173,7 @@ def _unit_srmr(corr: np.ndarray) -> np.ndarray:
     c = corr.sum(axis=2)
     s = c.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        resid = np.multiply(c[:, :, None], c[:, None, :])
+        resid = np.einsum("ri,rj->rij", c, c)
         np.divide(resid, s[:, None, None], out=resid)
         np.subtract(corr, resid, out=resid)
         values = _srmr_from_residuals(resid)

@@ -1,3 +1,4 @@
+import argparse
 import ctypes
 import hashlib
 import io
@@ -741,6 +742,54 @@ class TestSimulateCommand:
         assert captured.err == f"scorefit: error: sample size {2**64} is above 2**63\n"
         assert main(argv + ["--n", str(2**63)]) == 0
         assert capsys.readouterr().err == ""
+
+
+def _run(capsys, argv):
+    """Exit status, stdout and stderr of one in-process call, usage errors included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _help_texts(parser) -> dict:
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    texts = {(): parser.format_help()}
+    texts.update({(name,): sub.format_help() for name, sub in commands.choices.items()})
+    return texts
+
+
+class TestParserCache:
+    # A usage error, a handler error, a residual report and a plain one, in an
+    # order where state left by one call would show in the next.
+    SEQUENCE = [
+        ["closed-form", "--p", "x"],
+        ["closed-form", "--curve", "0.1"],
+        ["fit-check", "--demo", "stai", "--residuals", "--format", "json"],
+        ["fit-check", "--demo", "stai"],
+    ]
+
+    def test_built_once_per_process(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_calls_leave_no_state_behind(self, capsys, monkeypatch):
+        with monkeypatch.context() as fresh:
+            fresh.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+            expected = [_run(capsys, argv) for argv in self.SEQUENCE]
+        assert [code for code, _, _ in expected] == [2, 1, 0, 0]
+        assert [_run(capsys, argv) for argv in self.SEQUENCE] == expected
+
+    def test_help_follows_the_terminal_width(self, capsys, monkeypatch):
+        seen = []
+        for columns in ("80", "200", "80"):
+            monkeypatch.setenv("COLUMNS", columns)
+            expected = _help_texts(cli._build_parser.__wrapped__())
+            for command, text in expected.items():
+                assert _run(capsys, [*command, "--help"]) == (0, text, "")
+            seen.append(expected[()])
+        assert seen[0] != seen[1] and seen[0] == seen[2]
 
 
 class _MallInfo2(ctypes.Structure):

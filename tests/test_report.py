@@ -254,6 +254,27 @@ class TestSections:
     def test_curve(self, fmt, expected):
         assert ReportDocument(**self.CURVE, fmt=fmt).render() == _text(expected)
 
+    def test_csv_curve_writes_what_num_writes(self):
+        # Levels are formatted once per object, so equal values of another type
+        # or sign (1 and 1.0, 0.0 and -0.0) must keep their own texts.
+        shared = np.float64(0.05)
+        curve = (
+            CurvePoint(2, 1, 1),
+            CurvePoint(2, 1.0, 0.0),
+            CurvePoint(2, 0.0, -0.0),
+            CurvePoint(2, -0.0, None),
+            CurvePoint(3, shared, np.float64(0.3)),
+            CurvePoint(np.int64(4), shared, np.int64(0)),
+            CurvePoint(5, 0.06, 0.75),
+        )
+        lines = ReportDocument(curve=curve, fmt=OutputFormat.CSV).render().splitlines()
+        assert lines == ["p,srmr_level,required_r"] + [
+            f"{pt.p},{_num(pt.srmr_level)},"
+            + ("unattainable" if pt.required_r is None else _num(pt.required_r))
+            for pt in curve
+        ]
+        assert lines[1:6] == ["2,1,1", "2,1.0,0.0", "2,0.0,-0.0", "2,-0.0,unattainable", "3,0.05,0.3"]
+
     @pytest.mark.parametrize("fmt, expected", [
         (OutputFormat.TABLE, """
             inputs
