@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,27 +111,20 @@ class CorrelationMatrix:
     definiteness is not required at construction; operations that invert the
     matrix enforce it.
 
-    ``check_symmetry=False`` skips the asymmetry check, for a matrix that is
-    symmetric by construction, such as a score-implied covariance: its
-    rounding asymmetry grows with its entries, and passes ``SYMMETRY_TOL``
-    only for entries near 1.
-
     Instances are immutable: the stored array is a read-only copy.
     """
 
     values: np.ndarray
-    check_symmetry: InitVar[bool] = field(default=True, kw_only=True)
 
-    def __post_init__(self, check_symmetry: bool):
+    def __post_init__(self):
         arr = _as_float_matrix(self.values, "correlation matrix")
-        if check_symmetry:
-            with np.errstate(over="ignore"):  # +-1e308 pairs: inf, and rejected below
-                asym = np.abs(arr - arr.T).max() if arr.size else 0.0
-            if asym > SYMMETRY_TOL:
-                raise ValidationError(
-                    f"matrix is asymmetric: max |m[i,j] - m[j,i]| = {asym:.3e} "
-                    f"exceeds {SYMMETRY_TOL:g}"
-                )
+        with np.errstate(over="ignore"):  # +-1e308 pairs: inf, and rejected below
+            asym = np.abs(arr - arr.T).max() if arr.size else 0.0
+        if asym > SYMMETRY_TOL:
+            raise ValidationError(
+                f"matrix is asymmetric: max |m[i,j] - m[j,i]| = {asym:.3e} "
+                f"exceeds {SYMMETRY_TOL:g}"
+            )
         # M/2 + M'/2: exactly symmetric, no overflow, and (M + M')/2 in the normal range.
         half = arr / 2.0
         arr = half + half.T

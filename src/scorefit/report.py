@@ -26,6 +26,8 @@ class OutputFormat(Enum):
 
 def _num(value) -> str:
     # repr round-trips floats exactly; ints stay ints.
+    if type(value) is float:
+        return repr(value)
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return repr(int(value))
     return repr(float(value))
@@ -160,12 +162,7 @@ class ReportDocument:
                 level_txt = level_texts.get(id(level))
                 if level_txt is None:
                     level_txt = level_texts[id(level)] = _num(level)
-                if r is None:
-                    r_txt = "unattainable"
-                elif type(r) is float:  # _num's text, without its dispatch
-                    r_txt = repr(r)
-                else:
-                    r_txt = _num(r)
+                r_txt = "unattainable" if r is None else _num(r)
                 lines.append(f"{point.p},{level_txt},{r_txt}")
         if self.cells:
             lines.append(

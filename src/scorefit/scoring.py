@@ -90,8 +90,8 @@ def fs_implied_sigma(sigma: CorrelationMatrix, model: FactorModel) -> Correlatio
     lam = model.loadings
     gram = lam.T @ spd_solve(sigma.values, lam)  # L' Sigma^-1 L
     gram = (gram + gram.T) / 2.0
-    # Symmetric up to rounding; CorrelationMatrix symmetrizes it once.
-    return CorrelationMatrix(lam @ spd_solve(gram, lam.T), check_symmetry=False)
+    implied = lam @ spd_solve(gram, lam.T)
+    return CorrelationMatrix((implied + implied.T) / 2.0)
 
 
 def score_model_implied_sigma(sigma: CorrelationMatrix, weights: ScoreWeights) -> CorrelationMatrix:
@@ -105,5 +105,6 @@ def score_model_implied_sigma(sigma: CorrelationMatrix, weights: ScoreWeights) -
     cross = sigma.values @ weights.values  # Sigma B
     gram = weights.values.T @ cross  # B' Sigma B
     gram = (gram + gram.T) / 2.0
-    return CorrelationMatrix(cross @ spd_solve(gram, cross.T), check_symmetry=False)
+    implied = cross @ spd_solve(gram, cross.T)
+    return CorrelationMatrix((implied + implied.T) / 2.0)
 

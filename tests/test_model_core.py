@@ -46,12 +46,6 @@ class TestCorrelationMatrix:
         values = CorrelationMatrix([[1e308, 1.7e308], [1.7e308, 1e308]]).values
         assert np.array_equal(values, [[1e308, 1.7e308], [1.7e308, 1e308]])
 
-    def test_unchecked_symmetry_still_symmetrizes_and_validates(self):
-        cm = CorrelationMatrix([[1.0, 0.3], [0.4, 1.0]], check_symmetry=False)
-        assert np.array_equal(cm.values, [[1.0, 0.35], [0.35, 1.0]])
-        with pytest.raises(ValidationError, match="non-finite"):
-            CorrelationMatrix([[1.0, np.nan], [np.nan, 1.0]], check_symmetry=False)
-
     def test_values_are_read_only(self):
         cm = CorrelationMatrix(np.eye(3))
         with pytest.raises(ValueError):

@@ -127,23 +127,10 @@ class TestFsImpliedSigma:
             fs_implied_sigma(stai_sigma, model)
 
 
-class TestImpliedMatrixStorage:
-    def test_one_symmetrization_stores_the_bits_of_two(self):
-        # A p = 50 product whose upper triangle is one ulp (about 1e-17) off the
-        # lower one, as a rounded model product is.
-        rng = np.random.default_rng(50)
-        lower = np.tril(rng.uniform(0.02, 0.1, (50, 50)))
-        implied = lower + np.tril(lower, -1).T
-        upper = np.triu_indices(50, 1)
-        implied[upper] = np.nextafter(implied[upper], 1.0)
-        assert 0.0 < np.abs(implied - implied.T).max() < 2e-17
-        once = CorrelationMatrix(implied, check_symmetry=False).values
-        twice = CorrelationMatrix((implied + implied.T) / 2.0).values
-        assert np.array_equal(once.view(np.uint64), twice.view(np.uint64))
-
-    def test_large_covariance_scores_without_an_asymmetry_error(self):
-        # Rounding asymmetry grows with the entries: at this scale it exceeds
-        # SYMMETRY_TOL, which is meant for input files, not model products.
+class TestLargeCovariance:
+    def test_scores_without_an_asymmetry_error(self):
+        # A model product's rounding asymmetry grows with its entries and exceeds
+        # SYMMETRY_TOL at this scale, so it is symmetrized before it is checked.
         lam = np.linspace(0.3, 0.8, 30)
         sigma = CorrelationMatrix(population_correlation(lam).values * 1e8)
         implied = score_model_implied_sigma(sigma, ScoreWeights.unit(30))
