@@ -52,7 +52,7 @@ from .simulation import (
     sample_correlation,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "CorrelationMatrix",

@@ -19,13 +19,13 @@ from .model import CorrelationMatrix, ParallelSpec
 
 @dataclass(frozen=True)
 class FitReport:
-    """SRMR value plus the residual matrix it was computed from."""
+    """SRMR value plus its residual matrix: a float64 array is kept and made read-only."""
 
     srmr: float
     residuals: np.ndarray
 
     def __post_init__(self):
-        resid = np.array(self.residuals, dtype=float)
+        resid = np.asarray(self.residuals, dtype=float)
         resid.setflags(write=False)
         object.__setattr__(self, "residuals", resid)
 

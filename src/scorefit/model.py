@@ -58,6 +58,29 @@ def _factor_correlations(values, q: int) -> np.ndarray:
     return phi
 
 
+def _symmetrized(arr: np.ndarray, subject: str) -> np.ndarray:
+    """``M/2 + M'/2``: the one place that checks or applies symmetry.
+
+    Entry (i, j) must satisfy ``|m_ij - m_ji| <= SYMMETRY_TOL * max(1, sqrt|m_ii m_jj|)``,
+    its own scale, so one large variance does not loosen the check elsewhere.
+    ``M/2 + M'/2`` cannot overflow and equals ``(M + M')/2`` in the normal range.
+    """
+    with np.errstate(over="ignore"):  # +-1e308 pairs: inf, and rejected below
+        diff = np.abs(arr - arr.T)
+    if diff.size and diff.max() > SYMMETRY_TOL:
+        # At or below SYMMETRY_TOL every entry passes.  The outer product cannot overflow.
+        root = np.sqrt(np.abs(np.diagonal(arr)))
+        bound = SYMMETRY_TOL * np.maximum(1.0, np.outer(root, root))
+        i, j = np.unravel_index(np.argmax(diff / bound), diff.shape)
+        if diff[i, j] > bound[i, j]:
+            raise ValidationError(
+                f"{subject} asymmetric: |m[{i},{j}] - m[{j},{i}]| = {diff[i, j]:.3e} exceeds "
+                f"{SYMMETRY_TOL:g} * max(1, sqrt|m[{i},{i}] m[{j},{j}]|) = {bound[i, j]:.3e}"
+            )
+    half = arr / 2.0
+    return half + half.T
+
+
 def cholesky_lower(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive definite matrix.
 
@@ -86,6 +109,8 @@ def cholesky_lower(a: np.ndarray) -> np.ndarray:
 def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``a @ x = b`` for symmetric positive definite ``a`` via Cholesky.
 
+    Only the lower triangle of ``a`` is read.
+
     Raises :class:`SingularMatrixError` as :func:`cholesky_lower` does, and
     emits :class:`NearSingularMatrixWarning` for a pivot inside the band
     ``(PIVOT_TOL, NEAR_SINGULAR_TOL)``.
@@ -106,10 +131,10 @@ def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class CorrelationMatrix:
     """A p x p symmetric matrix of indicator inter-correlations or covariances.
 
-    Inputs are symmetrized as ``M / 2 + M' / 2`` on ingestion, which cannot
-    overflow; asymmetry beyond ``SYMMETRY_TOL`` is rejected.  Positive
-    definiteness is not required at construction; operations that invert the
-    matrix enforce it.
+    Inputs are symmetrized on ingestion, and an asymmetry beyond the scale of
+    its entry is rejected (see :func:`_symmetrized`), so model products at any
+    scale can be passed in as computed.  Positive definiteness is not required
+    at construction; operations that invert the matrix enforce it.
 
     Instances are immutable: the stored array is a read-only copy.
     """
@@ -117,17 +142,7 @@ class CorrelationMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _as_float_matrix(self.values, "correlation matrix")
-        with np.errstate(over="ignore"):  # +-1e308 pairs: inf, and rejected below
-            asym = np.abs(arr - arr.T).max() if arr.size else 0.0
-        if asym > SYMMETRY_TOL:
-            raise ValidationError(
-                f"matrix is asymmetric: max |m[i,j] - m[j,i]| = {asym:.3e} "
-                f"exceeds {SYMMETRY_TOL:g}"
-            )
-        # M/2 + M'/2: exactly symmetric, no overflow, and (M + M')/2 in the normal range.
-        half = arr / 2.0
-        arr = half + half.T
+        arr = _symmetrized(_as_float_matrix(self.values, "correlation matrix"), "matrix is")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -162,9 +177,7 @@ class FactorModel:
             raise DimensionError(f"need p >= q >= 1, got p={p}, q={q}")
 
         phi = _factor_correlations(self.factor_correlations, q)
-        if np.abs(phi - phi.T).max() > SYMMETRY_TOL:
-            raise ValidationError("factor correlations are asymmetric")
-        phi = (phi + phi.T) / 2.0
+        phi = _symmetrized(phi, "factor correlations are")
         if np.abs(np.diag(phi) - 1.0).max() > SYMMETRY_TOL:
             raise ValidationError("factor correlations must have a unit diagonal")
         try:

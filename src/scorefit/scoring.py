@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError
 from .model import CorrelationMatrix, FactorModel, _as_columns, spd_solve
 
 
@@ -20,9 +20,7 @@ from .model import CorrelationMatrix, FactorModel, _as_columns, spd_solve
 class ScoreWeights:
     """A p x q matrix of score weights; every entry must be finite.
 
-    ``fixed_pattern`` also requires 0/1 weights with at most one nonzero per
-    row (each indicator feeds at most one scale) and at least one nonzero per
-    column (no empty scales); ``unit`` builds the one-scale pattern.
+    ``unit`` builds the weights of one unit-weighted scale.
     """
 
     values: np.ndarray
@@ -40,19 +38,6 @@ class ScoreWeights:
     def unit(cls, p: int) -> "ScoreWeights":
         """All-ones weights for a single unit-weighted scale over p indicators."""
         return cls(np.ones((p, 1)))
-
-    @classmethod
-    def fixed_pattern(cls, values) -> "ScoreWeights":
-        """0/1 pattern assigning each indicator to at most one scale."""
-        weights = cls(values)
-        arr = weights.values
-        if not np.isin(arr, (0.0, 1.0)).all():
-            raise ValidationError("fixed-pattern weights must be 0 or 1")
-        if (arr.sum(axis=1) > 1).any():
-            raise ValidationError("each indicator may feed at most one scale")
-        if (arr.sum(axis=0) < 1).any():
-            raise ValidationError("every scale needs at least one indicator")
-        return weights
 
 
 def _check_same_p(sigma: CorrelationMatrix, other_p: int, what: str) -> None:
@@ -75,7 +60,6 @@ def bartlett_weights(model: FactorModel) -> ScoreWeights:
     lam = model.loadings
     lam_w = lam / model.uniquenesses[:, None]  # Psi^-2 L
     gram = lam.T @ lam_w
-    gram = (gram + gram.T) / 2.0
     weights = spd_solve(gram, lam_w.T).T
     return ScoreWeights(weights)
 
@@ -89,9 +73,8 @@ def fs_implied_sigma(sigma: CorrelationMatrix, model: FactorModel) -> Correlatio
     _check_same_p(sigma, model.p, "loading matrix")
     lam = model.loadings
     gram = lam.T @ spd_solve(sigma.values, lam)  # L' Sigma^-1 L
-    gram = (gram + gram.T) / 2.0
     implied = lam @ spd_solve(gram, lam.T)
-    return CorrelationMatrix((implied + implied.T) / 2.0)
+    return CorrelationMatrix(implied)
 
 
 def score_model_implied_sigma(sigma: CorrelationMatrix, weights: ScoreWeights) -> CorrelationMatrix:
@@ -104,7 +87,6 @@ def score_model_implied_sigma(sigma: CorrelationMatrix, weights: ScoreWeights) -
     _check_same_p(sigma, weights.p, "weight matrix")
     cross = sigma.values @ weights.values  # Sigma B
     gram = weights.values.T @ cross  # B' Sigma B
-    gram = (gram + gram.T) / 2.0
     implied = cross @ spd_solve(gram, cross.T)
-    return CorrelationMatrix((implied + implied.T) / 2.0)
+    return CorrelationMatrix(implied)
 

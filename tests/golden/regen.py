@@ -85,6 +85,15 @@ _ONCE = {
     "fit-check-diagonal-1e200.json": [
         "fit-check", "--matrix", "diagonal_1e200.txt", "--format", "json",
     ],
+    # Covariance input at large scales: model products whose rounding
+    # asymmetry is far above 1e-10 in absolute terms, yet tiny against the scale.
+    "fit-check-covariance-1e4.csv": [
+        "fit-check", "--matrix", "covariance_1e4.txt", "--loadings", "covariance_p12_loadings.txt",
+        "--reflective", "--residuals", "--format", "csv",
+    ],
+    "fit-check-covariance-1e12.csv": [
+        "fit-check", "--matrix", "covariance_1e12.txt", "--residuals", "--format", "csv",
+    ],
     "fit-check-reflective-without-loadings": [
         "fit-check", "--matrix", "ones.txt", "--reflective",
     ],

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scorefit import (
     CorrelationMatrix,
     DimensionError,
+    FitReport,
     NoSolutionError,
     ParallelSpec,
     ScoreWeights,
@@ -76,6 +77,25 @@ class TestSrmr:
         model = CorrelationMatrix([[other, 0.5], [0.5, other]])
         with pytest.raises(ValidationError, match="SRMR is not finite"):
             srmr(sigma, model)
+
+
+class TestFitReport:
+    def test_srmr_residuals_are_read_only(self):
+        residuals = pipeline_srmr(0.3, 7).residuals
+        with pytest.raises(ValueError):
+            residuals[0, 0] = 1.0
+
+    def test_keeps_a_float_array_without_copying(self):
+        a = np.zeros((3, 3))
+        report = FitReport(0.1, a)
+        assert np.shares_memory(report.residuals, a)
+        assert not a.flags.writeable
+
+    def test_accepts_a_nested_list(self):
+        report = FitReport(0.1, [[0.0, 0.5], [0.5, 0.0]])
+        assert report.residuals.dtype == float
+        assert np.array_equal(report.residuals, [[0.0, 0.5], [0.5, 0.0]])
+        assert not report.residuals.flags.writeable
 
 
 class TestClosedForm:

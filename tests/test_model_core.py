@@ -46,6 +46,25 @@ class TestCorrelationMatrix:
         values = CorrelationMatrix([[1e308, 1.7e308], [1.7e308, 1e308]]).values
         assert np.array_equal(values, [[1e308, 1.7e308], [1.7e308, 1e308]])
 
+    def test_accepts_rounding_asymmetry_relative_to_a_large_scale(self):
+        # 1e-12 relative at 1e6 is 1e-6 absolute: far above SYMMETRY_TOL, far
+        # below the entry's own scale.
+        m = np.array([[1e6, 5e5], [5e5 * (1 + 1e-12), 1e6]])
+        values = CorrelationMatrix(m).values
+        assert np.array_equal(values, values.T)
+        assert values[0, 1] == m[0, 1] / 2 + m[1, 0] / 2
+
+    def test_rejects_asymmetry_beyond_the_tolerance_at_correlation_scale(self):
+        with pytest.raises(ValidationError, match=r"= 2\.000e-10 exceeds .* = 1\.000e-10$"):
+            CorrelationMatrix([[1.0, 0.3 + 2e-10], [0.3, 1.0]])
+
+    def test_a_large_variance_does_not_loosen_the_check_elsewhere(self):
+        # A 0.05 typo between two unit-variance items next to a 1e9 variance:
+        # a bound set by the largest entry (1e-10 * 1e9 = 0.1) would pass it.
+        m = [[1e9, 3e3, 1e3], [3e3, 1.0, 0.3], [1e3, 0.35, 1.0]]
+        with pytest.raises(ValidationError, match=r"\|m\[1,2\] - m\[2,1\]\| = 5\.000e-02 "):
+            CorrelationMatrix(m)
+
     def test_values_are_read_only(self):
         cm = CorrelationMatrix(np.eye(3))
         with pytest.raises(ValueError):
@@ -127,7 +146,10 @@ class TestFactorModel:
             build(loadings)
 
     def test_rejects_asymmetric_factor_correlations(self):
-        with pytest.raises(ValidationError, match="^factor correlations are asymmetric$"):
+        with pytest.raises(
+            ValidationError,
+            match=r"^factor correlations are asymmetric: \|m\[0,1\] - m\[1,0\]\| = 1\.000e-01 exceeds ",
+        ):
             FactorModel(np.full((3, 2), 0.5), [[1.0, 0.2], [0.3, 1.0]], np.ones(3))
 
     def test_from_standardized_loadings_checks_factor_correlation_shape(self):

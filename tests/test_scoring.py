@@ -30,15 +30,6 @@ class TestScoreWeights:
         w = ScoreWeights.unit(5)
         assert np.array_equal(w.values, np.ones((5, 1)))
 
-    def test_fixed_pattern_rules(self):
-        ScoreWeights.fixed_pattern([[1, 0], [0, 1], [0, 1]])
-        with pytest.raises(ValidationError, match="0 or 1"):
-            ScoreWeights.fixed_pattern([[0.5], [1.0]])
-        with pytest.raises(ValidationError, match="at most one scale"):
-            ScoreWeights.fixed_pattern([[1, 1], [0, 1]])
-        with pytest.raises(ValidationError, match="at least one indicator"):
-            ScoreWeights.fixed_pattern([[1, 0], [1, 0]])
-
     def test_estimated_weights_must_be_finite(self):
         with pytest.raises(ValidationError):
             ScoreWeights([[np.inf], [1.0]])
@@ -128,16 +119,26 @@ class TestFsImpliedSigma:
 
 
 class TestLargeCovariance:
-    def test_scores_without_an_asymmetry_error(self):
-        # A model product's rounding asymmetry grows with its entries and exceeds
-        # SYMMETRY_TOL at this scale, so it is symmetrized before it is checked.
-        lam = np.linspace(0.3, 0.8, 30)
-        sigma = CorrelationMatrix(population_correlation(lam).values * 1e8)
+    # A model product's rounding asymmetry grows with its entries and exceeds
+    # SYMMETRY_TOL at these scales.  CorrelationMatrix judges it against each
+    # entry's own variances, so the raw product is accepted and symmetrized.
+    LOADINGS = np.linspace(0.3, 0.8, 30)
+
+    @pytest.mark.parametrize("scale", [1e4, 1e6, 1e8, 1e12])
+    def test_unit_weighted_scale_at_any_scale(self, scale):
+        sigma = CorrelationMatrix(population_correlation(self.LOADINGS).values * scale)
         implied = score_model_implied_sigma(sigma, ScoreWeights.unit(30))
-        assert np.array_equal(implied.values, implied.values.T)
+        bits = implied.values.view(np.uint64)
+        assert np.array_equal(bits, bits.T)
+        cross = sigma.values.sum(axis=1)  # Sigma 1
+        expected = np.outer(cross, cross) / cross.sum()  # Sigma 1 1' Sigma / 1' Sigma 1
+        assert np.allclose(implied.values, expected, rtol=1e-12, atol=0.0)
+
+    def test_scores_without_an_asymmetry_error(self):
+        sigma = CorrelationMatrix(population_correlation(self.LOADINGS).values * 1e8)
         # Sigma^-1 scales as 1e-8, so L' Sigma^-1 L has a near-singular pivot.
         with pytest.warns(NearSingularMatrixWarning):
-            implied = fs_implied_sigma(sigma, FactorModel.from_standardized_loadings(lam))
+            implied = fs_implied_sigma(sigma, FactorModel.from_standardized_loadings(self.LOADINGS))
         assert np.array_equal(implied.values, implied.values.T)
 
 
