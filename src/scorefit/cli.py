@@ -50,10 +50,6 @@ def _malloc_trim():
     return malloc_trim
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _list_of(convert):
     """argparse type: comma-separated tokens, each passed through convert; blanks skipped."""
 
@@ -184,15 +180,18 @@ def _cmd_fit_check(args) -> ReportDocument:
         sigma = datasets.stai_correlation_matrix()
         inputs = [("matrix", source), ("matrix_sha256", checksums["matrix"])]
     else:
-        matrix_path = Path(args.matrix)
-        sigma = parse_matrix(matrix_path)
-        inputs = [("matrix", str(matrix_path)), ("matrix_sha256", _sha256(matrix_path))]
+        matrix_path, matrix_digest = Path(args.matrix), hashlib.sha256()
+        sigma = parse_matrix(matrix_path, digest=matrix_digest)
+        inputs = [("matrix", str(matrix_path)), ("matrix_sha256", matrix_digest.hexdigest())]
     inputs.append(("p", str(sigma.p)))
 
     if args.loadings is not None:
-        loadings_path = Path(args.loadings)
-        loadings = parse_loadings(loadings_path, expected_p=sigma.p)
-        inputs += [("loadings", str(loadings_path)), ("loadings_sha256", _sha256(loadings_path))]
+        loadings_path, loadings_digest = Path(args.loadings), hashlib.sha256()
+        loadings = parse_loadings(loadings_path, expected_p=sigma.p, digest=loadings_digest)
+        inputs += [
+            ("loadings", str(loadings_path)),
+            ("loadings_sha256", loadings_digest.hexdigest()),
+        ]
     elif args.demo:
         loadings = datasets.stai_loadings()
         inputs += [("loadings", source), ("loadings_sha256", checksums["loadings"])]

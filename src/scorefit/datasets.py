@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
-
+from ._numpy import np
 from .fileio import _assemble, _tokenize
 from .model import CorrelationMatrix
 

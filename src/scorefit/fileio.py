@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-import numpy as np
-
+from ._numpy import np
 from .errors import MatrixParseError
 from .model import CorrelationMatrix
 
@@ -67,11 +66,14 @@ def _tokenize(label: str, text: str) -> list[tuple[int, list[float]]]:
     return rows
 
 
-def _read_rows(path: Path) -> list[tuple[int, list[float]]]:
+def _read_rows(path: Path, digest) -> list[tuple[int, list[float]]]:
     try:
-        text = path.read_text(encoding="utf-8-sig")
+        raw = path.read_bytes()
+        text = raw.decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise MatrixParseError(f"cannot read {path}: {exc}") from exc
+    if digest is not None:
+        digest.update(raw)
     return _tokenize(str(path), text)
 
 
@@ -93,24 +95,28 @@ def _assemble(label: str, rows: list[tuple[int, list[float]]]) -> np.ndarray:
     return np.array([values for _, values in rows])
 
 
-def parse_matrix(path: str | Path) -> CorrelationMatrix:
+def parse_matrix(path: str | Path, *, digest=None) -> CorrelationMatrix:
     """Parse, mirror/symmetrize and validate a covariance or correlation matrix.
 
     Positive definiteness is not checked: a matrix that is not positive
     definite parses silently, and only the operations that factor or invert
-    it reject it.
+    it reject it.  ``digest``, a :mod:`hashlib` object, is fed the file's raw
+    bytes, so that a caller can checksum the file without reading it again.
     """
     path = Path(path)
-    return CorrelationMatrix(_assemble(str(path), _read_rows(path)))
+    return CorrelationMatrix(_assemble(str(path), _read_rows(path, digest)))
 
 
-def parse_loadings(path: str | Path, expected_p: int | None = None) -> np.ndarray:
+def parse_loadings(
+    path: str | Path, expected_p: int | None = None, *, digest=None
+) -> np.ndarray:
     """Parse a loading vector: one value per line, or one delimited row.
 
-    ``expected_p`` cross-checks the count against a companion matrix.
+    ``expected_p`` cross-checks the count against a companion matrix;
+    ``digest`` is fed the file's raw bytes, as for :func:`parse_matrix`.
     """
     path = Path(path)
-    rows = _read_rows(path)
+    rows = _read_rows(path, digest)
     if len(rows) == 1:
         values = np.asarray(rows[0][1])
     else:

@@ -11,8 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .errors import DimensionError, NoSolutionError, ValidationError
 from .model import CorrelationMatrix, ParallelSpec
 
@@ -30,13 +29,14 @@ class FitReport:
         object.__setattr__(self, "residuals", resid)
 
 
-def _srmr_from_residuals(resid: np.ndarray) -> np.ndarray:
-    # SRMR of each residual matrix of a (..., p, p) stack.  Diagonal residuals
-    # are double-weighted: all p^2 squared entries plus the p squared diagonal
-    # entries, averaged over p(p+1) and square-rooted.
-    p = resid.shape[-1]
-    diag = np.diagonal(resid, axis1=-2, axis2=-1)
-    total = (resid * resid).sum(axis=(-2, -1)) + (diag * diag).sum(axis=-1)
+def _srmr_from_squares(squares: np.ndarray) -> np.ndarray:
+    # SRMR of each residual matrix of a (..., p, p) stack, given its squared
+    # residuals, so that a caller that owns its residuals can square them in
+    # place.  Diagonal residuals are double-weighted: all p^2 squared entries
+    # plus the p squared diagonal entries, averaged over p(p+1) and square-rooted.
+    p = squares.shape[-1]
+    diag = np.diagonal(squares, axis1=-2, axis2=-1)
+    total = squares.sum(axis=(-2, -1)) + diag.sum(axis=-1)
     return np.sqrt(total / (p * (p + 1)))
 
 
@@ -55,7 +55,7 @@ def srmr(sigma: CorrelationMatrix, sigma_model: CorrelationMatrix) -> FitReport:
         raise DimensionError("SRMR needs at least one indicator, got 0x0 matrices")
     with np.errstate(over="ignore"):
         resid = sigma.values - sigma_model.values
-        value = float(_srmr_from_residuals(resid))
+        value = float(_srmr_from_squares(resid * resid))
     if not math.isfinite(value):
         raise ValidationError("the SRMR is not finite: the residuals are too large to square")
     return FitReport(value, resid)

@@ -8,11 +8,11 @@ factorization and positive-definite solve, with an explicit pivot tolerance.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .errors import (
     DimensionError,
     NearSingularMatrixWarning,
@@ -236,7 +236,9 @@ class ParallelSpec:
     p: int
 
     def __post_init__(self):
-        if not (isinstance(self.p, (int, np.integer)) and self.p >= 2):
+        # numpy registers its integer types as numbers.Integral; int comes
+        # first because a plain int then skips the slower ABC check.
+        if not (isinstance(self.p, (int, numbers.Integral)) and self.p >= 2):
             raise ValidationError(f"need an integer p >= 2, got {self.p!r}")
         if not (math.isfinite(self.r) and 0.0 <= self.r <= 1.0):
             raise ValidationError(f"need r in [0, 1], got {self.r!r}")

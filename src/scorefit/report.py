@@ -8,12 +8,12 @@ layouts are part of the CLI contract and documented in the README.
 from __future__ import annotations
 
 import json
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
+from ._numpy import np
 from .fit import CurvePoint, FitReport
 from .simulation import SimulationCell
 
@@ -25,10 +25,10 @@ class OutputFormat(Enum):
 
 
 def _num(value) -> str:
-    # repr round-trips floats exactly; ints stay ints.
+    # repr round-trips floats exactly; ints, numpy's among them, stay ints.
     if type(value) is float:
         return repr(value)
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+    if isinstance(value, (int, numbers.Integral)) and not isinstance(value, bool):
         return repr(int(value))
     return repr(float(value))
 

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .errors import DimensionError
 from .model import CorrelationMatrix, FactorModel, _as_columns, spd_solve
 

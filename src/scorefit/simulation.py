@@ -25,10 +25,9 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import product
 
-import numpy as np
-
+from ._numpy import np
 from .errors import ValidationError
-from .fit import _srmr_from_residuals
+from .fit import _srmr_from_squares
 from .model import PIVOT_TOL, CorrelationMatrix, cholesky_lower
 
 # Replications per block are sized so that one block's (reps, p, p) arrays hold
@@ -169,14 +168,14 @@ def _unit_srmr(corr: np.ndarray) -> np.ndarray:
     # matrix whose scale variance s fails the Cholesky pivot check, or whose
     # value is not finite, gets NaN: these are the cases where
     # score_model_implied_sigma or CorrelationMatrix raises.  corr is not
-    # modified; the residual is built in one (reps, p, p) array.
+    # modified; the residual is built and squared in one (reps, p, p) array.
     c = corr.sum(axis=2)
     s = c.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         resid = np.einsum("ri,rj->rij", c, c)
         np.divide(resid, s[:, None, None], out=resid)
         np.subtract(corr, resid, out=resid)
-        values = _srmr_from_residuals(resid)
+        values = _srmr_from_squares(np.multiply(resid, resid, out=resid))
     values[~(s > PIVOT_TOL) | ~np.isfinite(values)] = np.nan
     return values
 

@@ -7,6 +7,7 @@ import math
 import os
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,6 +196,20 @@ class TestParseMatrix:
         with pytest.raises(MatrixParseError, match="cannot read"):
             parse_matrix("/no/such/file.txt")
 
+    @pytest.mark.parametrize("raw, reason", [
+        (b"1.0\n0.5,\xff\n", "byte 0xff in position 8: invalid start byte"),
+        # Positions count from after a byte order mark.
+        (b"\xef\xbb\xbf1.0\n0.5,\xff\n", "byte 0xff in position 8: invalid start byte"),
+        # A file holding only the start of a byte order mark is not UTF-8 either.
+        (b"\xef\xbb", "bytes in position 0-1: unexpected end of data"),
+    ])
+    def test_undecodable_file_names_the_bytes(self, tmp_path, raw, reason):
+        path = tmp_path / "m.txt"
+        path.write_bytes(raw)
+        with pytest.raises(MatrixParseError) as raised:
+            parse_matrix(path)
+        assert str(raised.value) == f"cannot read {path}: 'utf-8' codec can't decode {reason}"
+
 
 _ENTRY = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308]
@@ -306,7 +321,10 @@ class TestFitCheckCommand:
         assert main(["fit-check", "--matrix", str(matrix), "--loadings", str(loadings)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("scorefit: error:")
+        assert captured.err == (
+            f"scorefit: error: cannot read {tmp_path / bad[0]}.txt: "
+            "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+        )
 
     def test_unwritable_out_path_fails_on_stderr(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.txt"
@@ -458,6 +476,32 @@ class TestFitCheckCommand:
         assert main(argv) == 0
         capsys.readouterr()
         assert shapes.count((5, 5)) == 1
+
+    def test_each_input_file_is_read_once(self, tmp_path, capsys, monkeypatch):
+        matrix, loadings = tmp_path / "m.txt", tmp_path / "l.txt"
+        matrix.write_bytes(b"\xef\xbb\xbf* lower triangle\r\n1.0\r\n0.3,1.0\r\n0.2,0.25,1.0\r\n")
+        loadings.write_text("0.6\n0.5\n0.4\n")
+        reads, read_bytes, read_text = [], Path.read_bytes, Path.read_text
+
+        def counted_read_bytes(path):
+            reads.append((path, read_bytes(path)))
+            return reads[-1][1]
+
+        def counted_read_text(path, *args, **kwargs):
+            reads.append((path, None))
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_bytes", counted_read_bytes)
+        monkeypatch.setattr(Path, "read_text", counted_read_text)
+        argv = ["fit-check", "--matrix", str(matrix), "--loadings", str(loadings), "--format", "csv"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        echoed = dict(line[2:].split("=", 1) for line in out.splitlines() if line.startswith("# "))
+        assert [path for path, _ in reads] == [matrix, loadings]
+        # The echoed checksums hash the very bytes that were parsed.
+        assert echoed["matrix_sha256"] == hashlib.sha256(reads[0][1]).hexdigest()
+        assert echoed["loadings_sha256"] == hashlib.sha256(reads[1][1]).hexdigest()
+        assert echoed["p"] == "3"
 
     def test_model_label_keeps_the_error_class_and_pivot(self, tmp_path):
         matrix, loadings = tmp_path / "ones.txt", tmp_path / "l.txt"

@@ -21,7 +21,7 @@ from scorefit import (
     srmr,
     srmr_parallel_closed_form,
 )
-from scorefit.fit import _srmr_from_residuals
+from scorefit.fit import _srmr_from_squares
 
 
 def pipeline_srmr(r, p):
@@ -56,7 +56,8 @@ class TestSrmr:
 
     def test_recomputable_from_residuals(self, stai_sigma):
         report = pipeline_srmr(0.3, 7)
-        assert abs(report.srmr - _srmr_from_residuals(report.residuals)) < 1e-12
+        resid = report.residuals
+        assert abs(report.srmr - _srmr_from_squares(resid * resid)) < 1e-12
 
     @pytest.mark.parametrize("p", [1, 2, 24])
     def test_stacked_residuals_match_srmr_bitwise(self, p):
@@ -68,8 +69,11 @@ class TestSrmr:
             a, b = rng.uniform(-1.0, 1.0, (2, p, p))
             pairs.append((CorrelationMatrix(a + a.T), CorrelationMatrix(b + b.T)))
         stack = np.array([a.values - b.values for a, b in pairs])
-        expected = np.array([srmr(a, b).srmr for a, b in pairs])
-        assert np.array_equal(_srmr_from_residuals(stack), expected)
+        reports = [srmr(a, b) for a, b in pairs]
+        expected = np.array([report.srmr for report in reports])
+        assert np.array_equal(_srmr_from_squares(stack * stack), expected)
+        # srmr() squares a copy: its residuals are left as they were.
+        assert all(np.array_equal(r.residuals, s) for r, s in zip(reports, stack))
 
     @pytest.mark.parametrize("diagonal, other", [(1e200, 1.0), (1e308, -1e308)])
     def test_residuals_too_large_to_square_raise(self, diagonal, other):

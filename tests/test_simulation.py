@@ -16,7 +16,6 @@ from scorefit import (
     srmr,
     srmr_parallel_closed_form,
 )
-from scorefit.fit import _srmr_from_residuals
 from scorefit.model import PIVOT_TOL, ParallelSpec, cholesky_lower
 from scorefit.simulation import (
     LoadingPattern,
@@ -55,11 +54,18 @@ def oracle_bartlett_correlations(chol, n, reps, normals, chisq):
     return scatter / np.sqrt(d[:, :, None] * d[:, None, :])
 
 
+def oracle_srmr(resid):
+    p = resid.shape[-1]
+    diag = np.diagonal(resid, axis1=-2, axis2=-1)
+    total = (resid * resid).sum(axis=(-2, -1)) + (diag * diag).sum(axis=-1)
+    return np.sqrt(total / (p * (p + 1)))
+
+
 def oracle_unit_srmr(corr):
     c = corr.sum(axis=2)
     s = c.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        values = _srmr_from_residuals(corr - c[:, :, None] * c[:, None, :] / s[:, None, None])
+        values = oracle_srmr(corr - c[:, :, None] * c[:, None, :] / s[:, None, None])
     values[~(s > PIVOT_TOL) | ~np.isfinite(values)] = np.nan
     return values
 
