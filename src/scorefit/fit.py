@@ -131,6 +131,12 @@ def min_p_for_srmr(target_srmr: float, r: float) -> int:
     return p
 
 
+# Cap on the points of one curve, checked before any point is made.  A point
+# costs about 1 KB while its JSON report is built, so 2**20 points stay near
+# 1 GiB; CSV and table reports take about a quarter of that.
+MAX_CURVE_POINTS = 2**20
+
+
 @dataclass(frozen=True)
 class CurvePoint:
     """Required inter-correlation for one (scale length, SRMR level) pair.
@@ -150,7 +156,8 @@ def required_r_curve(
 
     Unattainable combinations are emitted as data points with
     ``required_r=None`` rather than raised as errors.  An empty level list or
-    p range raises :class:`ValidationError`.
+    p range, or more than :data:`MAX_CURVE_POINTS` points (levels times
+    distinct p), raises :class:`ValidationError`.
     """
     levels = sorted(float(level) for level in srmr_levels)
     if not levels:
@@ -158,9 +165,20 @@ def required_r_curve(
     for level in levels:
         if not (math.isfinite(level) and level > 0.0):
             raise ValidationError(f"SRMR levels must be positive, got {level!r}")
+    most_ps = MAX_CURVE_POINTS // len(levels)
+    too_many = (
+        f"the curve is capped at {MAX_CURVE_POINTS} points: {len(levels)} SRMR "
+        f"level(s) allow at most {most_ps} distinct p"
+    )
+    # A range is measured in O(1) (a slice of a range is a range), before any
+    # p is made; other iterables are measured once their distinct p are known.
+    if isinstance(p_range, range) and p_range[most_ps:]:
+        raise ValidationError(too_many)
     ps = sorted(set(int(p) for p in p_range))
     if not ps:
         raise ValidationError("the curve needs a non-empty p range")
+    if len(ps) > most_ps:
+        raise ValidationError(too_many)
     points = []
     for p in ps:
         ceiling = srmr_parallel_closed_form(0.0, p)  # solve_r_for_srmr's, once per p

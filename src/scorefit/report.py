@@ -33,6 +33,23 @@ def _num(value) -> str:
     return repr(float(value))
 
 
+# The simulate cell and --curve point layouts: each tuple is both the CSV
+# header and the JSON keys, in order.  _cell_row gives a cell's values in it.
+_CELL_COLUMNS = (
+    "n", "l", "r", "p", "pattern",
+    "population_srmr", "mean_srmr_s", "sd_srmr_s", "replications_used",
+)
+_CURVE_COLUMNS = ("p", "srmr_level", "required_r")
+
+
+def _cell_row(c: SimulationCell) -> tuple:
+    # r is the nominal inter-correlation l^2.
+    return (
+        c.n, c.l, c.l * c.l, c.p, c.pattern.value,
+        c.population_srmr, c.mean_srmr_s, c.sd_srmr_s, c.replications_used,
+    )
+
+
 def _entry_texts(resid: np.ndarray, fmt: Callable[[float], str]) -> list[list[str]]:
     """Row-major texts of every entry of a float64 matrix, each distinct entry formatted once.
 
@@ -115,12 +132,8 @@ class ReportDocument:
         if self.cells:
             lines.append("simulation")
             lines.append("  n     l     r     p    pattern   pop_srmr  mean_srmr_s  sd_srmr_s  reps")
-            for c in self.cells:
-                lines.append(
-                    f"  {c.n:<5d} {c.l:<5.2f} {c.l * c.l:<5.2f} {c.p:<4d} "
-                    f"{c.pattern.value:<9s} {c.population_srmr:<9.4f} "
-                    f"{c.mean_srmr_s:<12.4f} {c.sd_srmr_s:<10.4f} {c.replications_used}"
-                )
+            row = "  {:<5d} {:<5.2f} {:<5.2f} {:<4d} {:<9s} {:<9.4f} {:<12.4f} {:<10.4f} {}"
+            lines.extend(row.format(*_cell_row(c)) for c in self.cells)
         return "\n".join(lines) + "\n"
 
     # -- csv -----------------------------------------------------------------
@@ -151,7 +164,7 @@ class ReportDocument:
             for key, value in self.values:
                 lines.append(f"{key},{_num(value)}")
         if self.curve:
-            lines.append("p,srmr_level,required_r")
+            lines.append(",".join(_CURVE_COLUMNS))
             # required_r_curve shares one level object among every p, so each is
             # formatted once.  Keyed by identity, not value: 1 and 1.0, or 0.0 and
             # -0.0, are equal keys with different texts.  self.curve keeps every
@@ -165,15 +178,9 @@ class ReportDocument:
                 r_txt = "unattainable" if r is None else _num(r)
                 lines.append(f"{point.p},{level_txt},{r_txt}")
         if self.cells:
-            lines.append(
-                "n,l,r,p,pattern,population_srmr,mean_srmr_s,sd_srmr_s,replications_used"
-            )
+            lines.append(",".join(_CELL_COLUMNS))
             for c in self.cells:
-                lines.append(
-                    f"{c.n},{_num(c.l)},{_num(c.l * c.l)},{c.p},{c.pattern.value},"
-                    f"{_num(c.population_srmr)},{_num(c.mean_srmr_s)},"
-                    f"{_num(c.sd_srmr_s)},{c.replications_used}"
-                )
+                lines.append(",".join(v if isinstance(v, str) else _num(v) for v in _cell_row(c)))
         # Join the final newline in: appending it would copy a report that can
         # run to tens of MB.  An empty report is still a single newline.
         lines.append("")
@@ -198,28 +205,15 @@ class ReportDocument:
             doc["results"] = dict(self.values)
         if self.curve:
             doc["curve"] = [
-                {"p": pt.p, "srmr_level": pt.srmr_level, "required_r": pt.required_r}
-                for pt in self.curve
+                dict(zip(_CURVE_COLUMNS, (pt.p, pt.srmr_level, pt.required_r))) for pt in self.curve
             ]
         if self.cells:
-            doc["cells"] = [
-                {
-                    "n": c.n,
-                    "l": c.l,
-                    "r": c.l * c.l,
-                    "p": c.p,
-                    "pattern": c.pattern.value,
-                    "population_srmr": c.population_srmr,
-                    "mean_srmr_s": c.mean_srmr_s,
-                    "sd_srmr_s": c.sd_srmr_s,
-                    "replications_used": c.replications_used,
-                }
-                for c in self.cells
-            ]
+            doc["cells"] = [dict(zip(_CELL_COLUMNS, _cell_row(c))) for c in self.cells]
         return json.dumps(doc, indent=2) + "\n"
 
 
 def _csv_quote(text: str) -> str:
-    if any(ch in text for ch in ',"\n'):
+    # RFC 4180: a field holding a comma, quote, line feed or carriage return is quoted.
+    if any(ch in text for ch in ',"\n\r'):
         return '"' + text.replace('"', '""') + '"'
     return text

@@ -37,6 +37,15 @@ from .model import PIVOT_TOL, CorrelationMatrix, cholesky_lower
 # 2**12 about 30% slower.
 _BLOCK_ELEMENTS = 2**14
 
+# Caps on one config, checked before anything is allocated, so that no request
+# needs much more than 1 GiB.  A cell keeps one float64 per replication, and its
+# mean and SD take a copy: 2**26 replications peak at 1.1 GiB.  Every distinct
+# (l, p) population keeps its p x p Cholesky factor for the whole call, and the
+# running cell works on four more p x p arrays at most: 2**24 entries in all
+# (p = 4096 alone) peak at 0.63 GiB.
+MAX_REPLICATIONS = 2**26
+MAX_POPULATION_ENTRIES = 2**24
+
 
 class LoadingPattern(Enum):
     CONSTANT = "constant"
@@ -50,7 +59,9 @@ class SimulationConfig:
     Defaults follow the published design: n in {150, 300, 900}, mean loadings
     in {.2, .4, .6, .8}, p in {6, 12, 24}.  The desk-scale default of 1000
     replications runs one pattern of the default grid in under a second on a
-    2-vCPU machine; raise to 5000 for the full-scale study.
+    2-vCPU machine; raise to 5000 for the full-scale study.  Replications are
+    capped at ``MAX_REPLICATIONS``, and the distinct (l, p) populations at
+    ``MAX_POPULATION_ENTRIES`` matrix entries in all.
     """
 
     sample_sizes: tuple[int, ...] = (150, 300, 900)
@@ -66,8 +77,10 @@ class SimulationConfig:
         object.__setattr__(self, "indicator_counts", tuple(int(p) for p in self.indicator_counts))
         if not self.sample_sizes or not self.mean_loadings or not self.indicator_counts:
             raise ValidationError("sample sizes, loadings and indicator counts must be non-empty")
-        if self.replications < 1:
-            raise ValidationError("need at least one replication")
+        if not 1 <= self.replications <= MAX_REPLICATIONS:
+            raise ValidationError(
+                f"need 1 to {MAX_REPLICATIONS} replications, got {self.replications}"
+            )
         if not (0 <= self.seed < 2**64):
             raise ValidationError("seed must fit in an unsigned 64-bit integer")
         for l in self.mean_loadings:
@@ -80,6 +93,12 @@ class SimulationConfig:
                 raise ValidationError(f"sample size {n} is below p + 1 = {max_p + 1}")
         for p in self.indicator_counts:
             _check_indicator_count(p, self.loading_pattern)
+        entries = len(set(self.mean_loadings)) * sum(p * p for p in set(self.indicator_counts))
+        if entries > MAX_POPULATION_ENTRIES:
+            raise ValidationError(
+                f"the (l, p) populations hold {entries} correlation entries, above the cap "
+                f"of {MAX_POPULATION_ENTRIES} (distinct loadings times the sum of p^2)"
+            )
         for n in self.sample_sizes:
             # The chi-square draws take n - 1 degrees of freedom as a C long.
             if n > 2**63:
@@ -213,12 +232,8 @@ def _cell_generators(
         int(p),
         int(np.float64(l).view(np.uint64)),
     )
-    cell = np.random.SeedSequence(seed, spawn_key=key)
-    normals, chisq = cell.spawn(2)
-    return (
-        np.random.Generator(np.random.PCG64(normals)),
-        np.random.Generator(np.random.PCG64(chisq)),
-    )
+    normals, chisq = np.random.SeedSequence(seed, spawn_key=key).spawn(2)
+    return np.random.default_rng(normals), np.random.default_rng(chisq)
 
 
 def _replication_srmrs(config: SimulationConfig, chol: np.ndarray, n: int, l: float) -> np.ndarray:

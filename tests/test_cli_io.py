@@ -1,4 +1,5 @@
 import argparse
+import csv
 import ctypes
 import hashlib
 import io
@@ -6,6 +7,7 @@ import json
 import math
 import os
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -421,6 +423,20 @@ class TestFitCheckCommand:
         doc = json.loads(capsys.readouterr().out)
         assert any("positive definite" in w for w in doc["fits"][0]["warnings"])
 
+    def test_carriage_return_in_a_csv_field_is_quoted(self, tmp_path, capsys):
+        # The not-positive-definite note echoes the path.  RFC 4180 quotes a
+        # field holding a CR as it quotes one holding a LF, so a CSV reader
+        # keeps the whole note in one record.
+        path = tmp_path / "ones\rx.txt"
+        path.write_text("1 1 1\n1 1 1\n1 1 1\n")
+        assert main(["fit-check", "--matrix", str(path), "--format", "csv"]) == 0
+        records = csv.reader(io.StringIO(capsys.readouterr().out, newline=""))
+        notes = [record for record in records if record[:1] == ["warning"]]
+        assert len(notes) == 1
+        assert notes[0][:4] == ["warning", "unit_weighted", "", ""]
+        assert notes[0][4].startswith(f"{path}: matrix is not positive definite (Cholesky pivot")
+        assert notes[0][4].endswith(")")
+
     @pytest.mark.parametrize("reflective", [False, True])
     def test_non_pd_matrix_with_loadings_names_the_failing_model(self, tmp_path, capsys, reflective):
         matrix, loadings = tmp_path / "ones.txt", tmp_path / "l.txt"
@@ -786,6 +802,43 @@ class TestSimulateCommand:
         assert captured.err == f"scorefit: error: sample size {2**64} is above 2**63\n"
         assert main(argv + ["--n", str(2**63)]) == 0
         assert capsys.readouterr().err == ""
+
+
+class TestRequestCaps:
+    """An argv that would need gigabytes exits 1 before anything large is allocated."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (
+            ["closed-form", "--curve", ".05", "--p-range", "2:2000000000"],
+            "the curve is capped at 1048576 points: 1 SRMR level(s) allow at most 1048576 distinct p",
+        ),
+        (
+            ["simulate", "--reps", "1000000000000"],
+            "need 1 to 67108864 replications, got 1000000000000",
+        ),
+        (
+            ["simulate", "--p", "50000", "--n", "50001"],
+            "the (l, p) populations hold 10000000000 correlation entries, above the cap of "
+            "16777216 (distinct loadings times the sum of p^2)",
+        ),
+    ])
+    def test_refused_before_allocating(self, capsys, monkeypatch, argv, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an array was allocated before the request was checked")
+
+        for name in ("empty", "zeros", "outer"):
+            monkeypatch.setattr(np, name, refuse)
+        tracemalloc.start()
+        try:
+            status = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"scorefit: error: {message}\n"
+        assert peak < 2**20
 
 
 def _run(capsys, argv):

@@ -21,6 +21,7 @@ from scorefit import (
     srmr,
     srmr_parallel_closed_form,
 )
+import scorefit.fit
 from scorefit.fit import _srmr_from_squares
 
 
@@ -312,3 +313,14 @@ class TestRequiredRCurve:
             required_r_curve([], range(4, 10))
         with pytest.raises(ValidationError, match="p range"):
             required_r_curve([0.06], range(4, 4))
+
+    def test_point_cap_counts_levels_times_distinct_p(self, monkeypatch):
+        monkeypatch.setattr(scorefit.fit, "MAX_CURVE_POINTS", 6)
+        levels = [0.05, 0.06]
+        assert len(required_r_curve(levels, range(2, 5))) == 6
+        assert len(required_r_curve(levels, [4, 2, 3, 3, 2])) == 6
+        message = "^the curve is capped at 6 points: 2 SRMR level\\(s\\) allow at most 3 distinct p$"
+        # A range too long for len() is refused as well: it is measured by slicing.
+        for ps in (range(2, 6), [2, 3, 4, 5], range(2, 10**30)):
+            with pytest.raises(ValidationError, match=message):
+                required_r_curve(levels, ps)

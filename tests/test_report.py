@@ -10,7 +10,9 @@ rendered from hand-built documents, so no numerical change elsewhere moves them.
 """
 
 import dataclasses
+import re
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -284,6 +286,12 @@ class TestSections:
               150   0.40  0.16  6    constant  0.3919    0.3978       0.0151     25
               900   0.80  0.64  24   variable  0.1050    nan          nan        0
             """),
+        (OutputFormat.CSV, """
+            # seed=9
+            n,l,r,p,pattern,population_srmr,mean_srmr_s,sd_srmr_s,replications_used
+            150,0.4,0.16000000000000003,6,constant,0.39191835884530846,0.39784,0.015123,25
+            900,0.8,0.6400000000000001,24,variable,0.105,nan,nan,0
+            """),
         (OutputFormat.JSON, """
             {
               "inputs": {
@@ -367,3 +375,19 @@ class TestSections:
     @pytest.mark.parametrize("fmt", [OutputFormat.TABLE, OutputFormat.CSV])
     def test_empty_document_is_one_newline(self, fmt):
         assert ReportDocument(fmt=fmt).render() == "\n"
+
+    def test_csv_headers_are_the_ones_the_readme_documents(self):
+        # The README names each CSV layout as one code span of comma-joined
+        # column names; each must be the header line its renderer writes.
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        documented = set(re.findall(r"`([a-z_]+(?:,[a-z_]+){2,})`", readme))
+        written = set()
+        for sections in (self.WARNINGS, self.CURVE, self.CELLS):
+            text = ReportDocument(**sections, fmt=OutputFormat.CSV).render()
+            written.add(next(line for line in text.splitlines() if not line.startswith("#")))
+        assert written == {
+            "record,model,i,j,value",
+            "p,srmr_level,required_r",
+            "n,l,r,p,pattern,population_srmr,mean_srmr_s,sd_srmr_s,replications_used",
+        }
+        assert documented == written

@@ -18,6 +18,8 @@ from scorefit import (
 )
 from scorefit.model import PIVOT_TOL, ParallelSpec, cholesky_lower
 from scorefit.simulation import (
+    MAX_POPULATION_ENTRIES,
+    MAX_REPLICATIONS,
     LoadingPattern,
     SimulationConfig,
     run_simulation,
@@ -311,6 +313,25 @@ class TestSimulationConfig:
             SimulationConfig(indicator_counts=(6, 1))
         with pytest.raises(ValidationError, match="above 2\\*\\*63"):
             SimulationConfig(sample_sizes=(150, 2**63 + 1))
+
+    def test_replication_cap(self):
+        # A config allocates nothing, so the cap itself can be built.
+        assert SimulationConfig(replications=MAX_REPLICATIONS).replications == MAX_REPLICATIONS
+        message = f"^need 1 to {MAX_REPLICATIONS} replications, got {MAX_REPLICATIONS + 1}$"
+        with pytest.raises(ValidationError, match=message):
+            SimulationConfig(replications=MAX_REPLICATIONS + 1)
+
+    def test_population_cap_counts_distinct_loadings_times_sum_of_p_squared(self):
+        def config(loadings, ps):
+            return SimulationConfig(sample_sizes=(4097,), mean_loadings=loadings, indicator_counts=ps)
+
+        assert MAX_POPULATION_ENTRIES == 4096**2
+        config((0.4, 0.4), (4096, 4096))  # repeated values share one population
+        config((0.4,), (4094, 90))
+        with pytest.raises(ValidationError, match="^the \\(l, p\\) populations hold 33554432 "):
+            config((0.4, 0.5), (4096,))
+        with pytest.raises(ValidationError, match="hold 16777225 correlation entries, above the cap"):
+            config((0.4,), (4096, 3))
 
     @pytest.mark.parametrize("axis", ["sample_sizes", "mean_loadings", "indicator_counts"])
     def test_rejects_an_empty_grid_axis(self, axis):
