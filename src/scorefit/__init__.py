@@ -19,8 +19,8 @@ from .errors import (
 )
 from .fileio import parse_loadings, parse_matrix, write_matrix
 from .fit import (
-    CurvePoint,
     FitReport,
+    RequiredRCurve,
     min_p_for_srmr,
     required_r_curve,
     solve_r_for_srmr,
@@ -52,11 +52,10 @@ from .simulation import (
     sample_correlation,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [
     "CorrelationMatrix",
-    "CurvePoint",
     "DimensionError",
     "FactorModel",
     "FitReport",
@@ -67,6 +66,7 @@ __all__ = [
     "OutputFormat",
     "ParallelSpec",
     "ReportDocument",
+    "RequiredRCurve",
     "ScoreWeights",
     "ScorefitError",
     "SimulationCell",

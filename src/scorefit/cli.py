@@ -239,21 +239,34 @@ def _cmd_fit_check(args) -> ReportDocument:
     )
 
 
+def _refuse_unread(mode: str, *options) -> None:
+    """Raise for the first (flag, value) given on the command line that mode does not read.
+
+    Called once a mode has done its own checks and work, so that an argv that
+    failed for another reason keeps that message.
+    """
+    for flag, value in options:
+        if value is not None:
+            raise ValidationError(f"{mode} does not read {flag}")
+
+
 def _cmd_closed_form(args) -> ReportDocument:
     if args.curve is not None:
         if args.p_range is None:
             raise ValidationError("--curve requires --p-range")
-        points = required_r_curve(args.curve, args.p_range)
+        curve = required_r_curve(args.curve, args.p_range)
+        _refuse_unread("--curve", ("--r", args.r), ("--p", args.p))
         inputs = (
-            ("levels", ",".join(repr(v) for v in sorted(args.curve))),
+            ("levels", ",".join(repr(v) for v in curve.levels)),
             ("p_range", f"{args.p_range.start}:{args.p_range.stop - 1}:{args.p_range.step}"),
         )
-        return ReportDocument(inputs=inputs, curve=tuple(points))
+        return ReportDocument(inputs=inputs, curve=curve)
 
     if args.solve_r is not None:
         if args.p is None:
             raise ValidationError("--solve-r requires --p")
         value = solve_r_for_srmr(args.solve_r, args.p)
+        _refuse_unread("--solve-r", ("--r", args.r), ("--p-range", args.p_range))
         inputs = (("target_srmr", repr(args.solve_r)), ("p", str(args.p)))
         return ReportDocument(inputs=inputs, values=(("required_r", value),))
 
@@ -261,12 +274,14 @@ def _cmd_closed_form(args) -> ReportDocument:
         if args.r is None:
             raise ValidationError("--min-p requires --r")
         value = min_p_for_srmr(args.min_p, args.r)
+        _refuse_unread("--min-p", ("--p", args.p), ("--p-range", args.p_range))
         inputs = (("target_srmr", repr(args.min_p)), ("r", repr(args.r)))
         return ReportDocument(inputs=inputs, values=(("min_p", value),))
 
     if args.r is None or args.p is None:
         raise ValidationError("closed-form needs --r and --p (or one of --solve-r/--min-p/--curve)")
     value = srmr_parallel_closed_form(args.r, args.p)
+    _refuse_unread("the --r/--p evaluation", ("--p-range", args.p_range))
     inputs = (("r", repr(args.r)), ("p", str(args.p)))
     return ReportDocument(inputs=inputs, values=(("srmr", value),))
 

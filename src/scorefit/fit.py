@@ -138,28 +138,29 @@ MAX_CURVE_POINTS = 2**20
 
 
 @dataclass(frozen=True)
-class CurvePoint:
-    """Required inter-correlation for one (scale length, SRMR level) pair.
+class RequiredRCurve:
+    """Required inter-correlation over a grid of scale lengths and SRMR levels.
 
-    ``required_r`` is None when no r in [0, 1] attains the level.
+    ``levels`` and ``ps`` ascend; ``required_r[i][k]`` is the r that ``ps[i]``
+    indicators need for ``levels[k]``, and None where no r in [0, 1] attains it.
     """
 
-    p: int
-    srmr_level: float
-    required_r: float | None
+    levels: tuple[float, ...]
+    ps: tuple[int, ...]
+    required_r: tuple[tuple[float | None, ...], ...]
 
 
 def required_r_curve(
     srmr_levels: Sequence[float], p_range: Iterable[int]
-) -> list[CurvePoint]:
-    """Required r for each (p, level) pair, in ascending (p, level) order.
+) -> RequiredRCurve:
+    """Required r for each (p, level) pair, one row per p, in ascending (p, level) order.
 
-    Unattainable combinations are emitted as data points with
-    ``required_r=None`` rather than raised as errors.  An empty level list or
-    p range, or more than :data:`MAX_CURVE_POINTS` points (levels times
-    distinct p), raises :class:`ValidationError`.
+    Unattainable combinations are entries of None rather than raised as
+    errors.  An empty level list or p range, or more than
+    :data:`MAX_CURVE_POINTS` points (levels times distinct p), raises
+    :class:`ValidationError`.
     """
-    levels = sorted(float(level) for level in srmr_levels)
+    levels = tuple(sorted(float(level) for level in srmr_levels))
     if not levels:
         raise ValidationError("the curve needs at least one SRMR level")
     for level in levels:
@@ -174,15 +175,13 @@ def required_r_curve(
     # p is made; other iterables are measured once their distinct p are known.
     if isinstance(p_range, range) and p_range[most_ps:]:
         raise ValidationError(too_many)
-    ps = sorted(set(int(p) for p in p_range))
+    ps = tuple(sorted(set(int(p) for p in p_range)))
     if not ps:
         raise ValidationError("the curve needs a non-empty p range")
     if len(ps) > most_ps:
         raise ValidationError(too_many)
-    points = []
+    rows = []
     for p in ps:
         ceiling = srmr_parallel_closed_form(0.0, p)  # solve_r_for_srmr's, once per p
-        for level in levels:
-            required = 1.0 - level / ceiling if level <= ceiling else None
-            points.append(CurvePoint(p, level, required))
-    return points
+        rows.append(tuple(1.0 - level / ceiling if level <= ceiling else None for level in levels))
+    return RequiredRCurve(levels, ps, tuple(rows))

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import json
 import numbers
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 
 from ._numpy import np
-from .fit import CurvePoint, FitReport
+from .fit import FitReport, RequiredRCurve
 from .simulation import SimulationCell
 
 
@@ -48,6 +48,14 @@ def _cell_row(c: SimulationCell) -> tuple:
         c.n, c.l, c.l * c.l, c.p, c.pattern.value,
         c.population_srmr, c.mean_srmr_s, c.sd_srmr_s, c.replications_used,
     )
+
+
+def _curve_points(curve: RequiredRCurve, levels) -> Iterator[tuple]:
+    # (p, level, required r) in (p, level) order, levels taken by position from
+    # levels (curve.levels or their texts).  A ragged grid raises ValueError.
+    for p, row in zip(curve.ps, curve.required_r, strict=True):
+        for level, r in zip(levels, row, strict=True):
+            yield p, level, r
 
 
 def _entry_texts(resid: np.ndarray, fmt: Callable[[float], str]) -> list[list[str]]:
@@ -84,7 +92,7 @@ class ReportDocument:
     fits: tuple[tuple[str, FitReport], ...] = ()
     warnings: tuple[tuple[str, str], ...] = ()
     values: tuple[tuple[str, float], ...] = ()
-    curve: tuple[CurvePoint, ...] = ()
+    curve: RequiredRCurve | None = None
     cells: tuple[SimulationCell, ...] = ()
     include_residuals: bool = False
     fmt: OutputFormat = OutputFormat.TABLE
@@ -104,7 +112,7 @@ class ReportDocument:
             lines.append("inputs")
             width = max(len(k) for k, _ in self.inputs)
             for key, value in self.inputs:
-                lines.append(f"  {key.ljust(width)}  {value}")
+                lines.append(f"  {key.ljust(width)}  {_one_line(value)}")
         if self.fits:
             lines.append("fit")
             width = max(len(label) for label, _ in self.fits)
@@ -123,12 +131,12 @@ class ReportDocument:
             for key, value in self.values:
                 shown = f"{value:d}" if isinstance(value, int) else f"{value:.4f}"
                 lines.append(f"  {key.ljust(width)}  {shown}")
-        if self.curve:
+        if self.curve is not None:
             lines.append("required r by scale length and SRMR level")
             lines.append("  p     level   required_r")
-            for point in self.curve:
-                r_txt = "unattainable" if point.required_r is None else f"{point.required_r:.4f}"
-                lines.append(f"  {point.p:<5d} {point.srmr_level:<7.4f} {r_txt}")
+            for p, level, r in _curve_points(self.curve, self.curve.levels):
+                r_txt = "unattainable" if r is None else f"{r:.4f}"
+                lines.append(f"  {p:<5d} {level:<7.4f} {r_txt}")
         if self.cells:
             lines.append("simulation")
             lines.append("  n     l     r     p    pattern   pop_srmr  mean_srmr_s  sd_srmr_s  reps")
@@ -139,7 +147,7 @@ class ReportDocument:
     # -- csv -----------------------------------------------------------------
 
     def _render_csv(self) -> str:
-        lines = [f"# {key}={value}" for key, value in self.inputs]
+        lines = [f"# {key}={_one_line(value)}" for key, value in self.inputs]
         if self.fits:
             lines.append("record,model,i,j,value")
             for label, report in self.fits:
@@ -163,20 +171,12 @@ class ReportDocument:
             lines.append("quantity,value")
             for key, value in self.values:
                 lines.append(f"{key},{_num(value)}")
-        if self.curve:
+        if self.curve is not None:
             lines.append(",".join(_CURVE_COLUMNS))
-            # required_r_curve shares one level object among every p, so each is
-            # formatted once.  Keyed by identity, not value: 1 and 1.0, or 0.0 and
-            # -0.0, are equal keys with different texts.  self.curve keeps every
-            # level alive, so no id is reused during the loop.
-            level_texts = {}
-            for point in self.curve:
-                level, r = point.srmr_level, point.required_r
-                level_txt = level_texts.get(id(level))
-                if level_txt is None:
-                    level_txt = level_texts[id(level)] = _num(level)
+            level_texts = [_num(level) for level in self.curve.levels]
+            for p, level_txt, r in _curve_points(self.curve, level_texts):
                 r_txt = "unattainable" if r is None else _num(r)
-                lines.append(f"{point.p},{level_txt},{r_txt}")
+                lines.append(f"{p},{level_txt},{r_txt}")
         if self.cells:
             lines.append(",".join(_CELL_COLUMNS))
             for c in self.cells:
@@ -203,13 +203,18 @@ class ReportDocument:
                 doc["fits"].append(entry)
         if self.values:
             doc["results"] = dict(self.values)
-        if self.curve:
-            doc["curve"] = [
-                dict(zip(_CURVE_COLUMNS, (pt.p, pt.srmr_level, pt.required_r))) for pt in self.curve
-            ]
+        if self.curve is not None:
+            points = _curve_points(self.curve, self.curve.levels)
+            doc["curve"] = [dict(zip(_CURVE_COLUMNS, point)) for point in points]
         if self.cells:
             doc["cells"] = [dict(zip(_CELL_COLUMNS, _cell_row(c))) for c in self.cells]
         return json.dumps(doc, indent=2) + "\n"
+
+
+def _one_line(text: str) -> str:
+    # An echoed input keeps to its own line: CR and LF are written as the
+    # escapes \r and \n (JSON escapes them itself).
+    return text.replace("\r", "\\r").replace("\n", "\\n")
 
 
 def _csv_quote(text: str) -> str:

@@ -424,18 +424,34 @@ class TestFitCheckCommand:
         assert any("positive definite" in w for w in doc["fits"][0]["warnings"])
 
     def test_carriage_return_in_a_csv_field_is_quoted(self, tmp_path, capsys):
-        # The not-positive-definite note echoes the path.  RFC 4180 quotes a
-        # field holding a CR as it quotes one holding a LF, so a CSV reader
-        # keeps the whole note in one record.
-        path = tmp_path / "ones\rx.txt"
-        path.write_text("1 1 1\n1 1 1\n1 1 1\n")
-        assert main(["fit-check", "--matrix", str(path), "--format", "csv"]) == 0
-        records = csv.reader(io.StringIO(capsys.readouterr().out, newline=""))
-        notes = [record for record in records if record[:1] == ["warning"]]
-        assert len(notes) == 1
-        assert notes[0][:4] == ["warning", "unit_weighted", "", ""]
-        assert notes[0][4].startswith(f"{path}: matrix is not positive definite (Cholesky pivot")
-        assert notes[0][4].endswith(")")
+        # The matrix path is echoed as an input and in the not-positive-definite
+        # note.  An input line writes CR and LF as the escapes \r and \n; RFC 4180
+        # quotes the note's field, CR or LF, so a CSV reader keeps it in one record.
+        for name, escaped in (("ones\rx.txt", r"ones\rx.txt"), ("ones\nx.txt", r"ones\nx.txt")):
+            path = tmp_path / name
+            path.write_text("1 1 1\n1 1 1\n1 1 1\n")
+            shown = str(tmp_path / escaped)
+            assert main(["fit-check", "--matrix", str(path), "--format", "csv"]) == 0
+            out = capsys.readouterr().out
+            records = list(csv.reader(io.StringIO(out, newline="")))
+            assert ["x.txt"] not in records
+            assert records[0] == [f"# matrix={shown}"]
+            assert records[3] == ["record", "model", "i", "j", "value"]  # one record per input
+            if "\r" in name:  # the quoted note holds no line feed
+                assert len(records) == out.count("\n")
+            notes = [record for record in records if record[:1] == ["warning"]]
+            assert len(notes) == 1
+            assert notes[0][:4] == ["warning", "unit_weighted", "", ""]
+            assert notes[0][4].startswith(f"{path}: matrix is not positive definite (Cholesky pivot")
+            assert notes[0][4].endswith(")")
+
+            assert main(["fit-check", "--matrix", str(path)]) == 0
+            table = capsys.readouterr().out.split("\n")
+            # One line per input: the matrix, its checksum and p.
+            assert table[0] == "inputs"
+            assert table[1] == f"  matrix         {shown}"
+            assert table[3] == "  p              3"
+            assert table[4] == "fit"
 
     @pytest.mark.parametrize("reflective", [False, True])
     def test_non_pd_matrix_with_loadings_names_the_failing_model(self, tmp_path, capsys, reflective):
@@ -608,8 +624,30 @@ class TestClosedFormCommand:
     @pytest.mark.parametrize("argv, message", [
         (["--curve", "0.1"], "--curve requires --p-range"),
         (["--min-p", "0.1"], "--min-p requires --r"),
+        # A missing companion is reported first, even beside an option the mode does not read.
+        (["--curve", "0.06", "--r", "0.5"], "--curve requires --p-range"),
+        (["--solve-r", "0.06", "--r", "0.5"], "--solve-r requires --p"),
+        (["--min-p", "0.06", "--p", "10"], "--min-p requires --r"),
+        (["--r", "0.5", "--p-range", "2:5"],
+         "closed-form needs --r and --p (or one of --solve-r/--min-p/--curve)"),
     ])
     def test_missing_companion_flag_is_an_error(self, capsys, argv, message):
+        assert main(["closed-form", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"scorefit: error: {message}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--curve", "0.06", "--p-range", "4:6", "--r", "0.5"], "--curve does not read --r"),
+        (["--curve", "0.06", "--p-range", "4:6", "--p", "10"], "--curve does not read --p"),
+        (["--solve-r", "0.06", "--p", "10", "--r", "0.5"], "--solve-r does not read --r"),
+        (["--solve-r", "0.06", "--p", "10", "--p-range", "2:5"], "--solve-r does not read --p-range"),
+        (["--min-p", "0.06", "--r", "0.5", "--p", "10"], "--min-p does not read --p"),
+        (["--min-p", "0.06", "--r", "0.5", "--p-range", "2:5"], "--min-p does not read --p-range"),
+        (["--r", "0.5", "--p", "10", "--p-range", "2:5"],
+         "the --r/--p evaluation does not read --p-range"),
+    ])
+    def test_option_the_mode_does_not_read_is_an_error(self, capsys, argv, message):
         assert main(["closed-form", *argv]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -656,8 +694,10 @@ class TestClosedFormCommand:
         ]
 
     def test_unattainable_solve_r_is_an_error(self, capsys):
-        assert main(["closed-form", "--solve-r", "0.9", "--p", "10"]) == 1
-        assert "no r" in capsys.readouterr().err
+        # An option the mode does not read leaves the mode's own error as it is.
+        for unread in ([], ["--r", "0.5"]):
+            assert main(["closed-form", "--solve-r", "0.9", "--p", "10", *unread]) == 1
+            assert "no r" in capsys.readouterr().err
 
     @pytest.mark.parametrize("target", ["1e-154", "1e-200", "5e-324"])
     @pytest.mark.parametrize("r", ["0", "0.95"])

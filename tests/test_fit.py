@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scorefit import (
@@ -262,47 +262,60 @@ def test_inverses_round_trip_and_min_p_is_minimal(r, p):
         assert srmr_parallel_closed_form(r, found - 1) > target
 
 
+def _solved(level, p):
+    try:
+        return solve_r_for_srmr(level, p)
+    except NoSolutionError:
+        return None
+
+
+# Levels at the r=0 ceilings K(p), where the solver turns from a value to None.
+_curve_levels = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    st.integers(2, 60).map(lambda p: srmr_parallel_closed_form(0.0, p)),
+)
+
+
 class TestRequiredRCurve:
     def test_rows_in_deterministic_order(self):
-        points = required_r_curve([0.12, 0.06], range(4, 9, 2))
-        assert [(pt.p, pt.srmr_level) for pt in points] == [
-            (4, 0.06), (4, 0.12), (6, 0.06), (6, 0.12), (8, 0.06), (8, 0.12),
-        ]
+        curve = required_r_curve([0.12, 0.06], [8, 4, 6, 4])
+        assert curve.levels == (0.06, 0.12)
+        assert curve.ps == (4, 6, 8)
+        assert [len(row) for row in curve.required_r] == [2, 2, 2]
 
     def test_monotone_in_p_per_level(self):
-        points = required_r_curve([0.06, 0.09, 0.12], range(4, 101))
-        for level in (0.06, 0.09, 0.12):
-            rs = [pt.required_r for pt in points if pt.srmr_level == level]
+        curve = required_r_curve([0.06, 0.09, 0.12], range(4, 101))
+        by_level = list(zip(*curve.required_r))
+        assert len(by_level) == 3
+        for rs in by_level:
             assert all(a > b for a, b in zip(rs, rs[1:]))
 
     def test_known_cells(self):
-        points = {(pt.p, pt.srmr_level): pt.required_r for pt in required_r_curve([0.06, 0.09], [16, 60])}
-        assert 0.80 < points[(16, 0.06)] < 0.82
-        assert points[(60, 0.09)] == pytest.approx(0.50, abs=0.02)
+        curve = required_r_curve([0.06, 0.09], [16, 60])
+        assert 0.80 < curve.required_r[0][0] < 0.82  # p = 16, level 0.06
+        assert curve.required_r[1][1] == pytest.approx(0.50, abs=0.02)  # p = 60, level 0.09
 
     def test_unattainable_is_data_not_error(self):
         # The r=0 ceiling is 0.5 at p=2 but ~0.527 at p=3.
-        points = required_r_curve([0.51], [2, 3])
-        assert points[0].required_r is None
-        assert points[1].required_r is not None
+        curve = required_r_curve([0.51], [2, 3])
+        assert curve.required_r[0] == (None,)
+        assert curve.required_r[1][0] is not None
 
-    @pytest.mark.parametrize("levels, ps", [
-        ([0.04, 0.06, 0.08, 0.09, 0.12], range(4, 1001)),  # the benchmark's curve
-        # K(2) = 0.5 < K(3): levels at and between the two ceilings, from p = 2.
-        ([1e-300, 0.09, 0.5, 0.51, srmr_parallel_closed_form(0.0, 3), 0.6], range(2, 50)),
-    ])
+    @example([0.04, 0.06, 0.08, 0.09, 0.12], range(4, 1001))  # the benchmark's curve
+    # K(2) = 0.5 < K(3): levels at and between the two ceilings, from p = 2.
+    @example([1e-300, 0.09, 0.5, 0.51, srmr_parallel_closed_form(0.0, 3), 0.6], range(2, 50))
+    @given(
+        st.lists(_curve_levels, min_size=1, max_size=6),
+        st.lists(st.integers(2, 10**6), min_size=1, max_size=20),
+    )
+    @settings(derandomize=True, max_examples=100, deadline=None)
     def test_matches_the_per_point_solver_bit_for_bit(self, levels, ps):
-        def solved(level, p):
-            try:
-                return solve_r_for_srmr(level, p)
-            except NoSolutionError:
-                return None
-
-        expected = [(p, level, solved(level, p)) for p in ps for level in sorted(levels)]
-        points = required_r_curve(levels, ps)
+        curve = required_r_curve(levels, ps)
+        expected = [[_solved(level, p) for level in sorted(levels)] for p in sorted(set(ps))]
         # repr tells -0.0 from 0.0 and prints every bit of a float.
-        assert repr([(pt.p, pt.srmr_level, pt.required_r) for pt in points]) == repr(expected)
-        assert any(r is None for _, _, r in expected)
+        assert repr(curve.levels) == repr(tuple(sorted(levels)))
+        assert curve.ps == tuple(sorted(set(ps)))
+        assert repr([list(row) for row in curve.required_r]) == repr(expected)
 
     def test_rejects_bad_levels(self):
         with pytest.raises(ValidationError):
@@ -317,8 +330,9 @@ class TestRequiredRCurve:
     def test_point_cap_counts_levels_times_distinct_p(self, monkeypatch):
         monkeypatch.setattr(scorefit.fit, "MAX_CURVE_POINTS", 6)
         levels = [0.05, 0.06]
-        assert len(required_r_curve(levels, range(2, 5))) == 6
-        assert len(required_r_curve(levels, [4, 2, 3, 3, 2])) == 6
+        for ps in (range(2, 5), [4, 2, 3, 3, 2]):
+            curve = required_r_curve(levels, ps)
+            assert sum(map(len, curve.required_r)) == 6
         message = "^the curve is capped at 6 points: 2 SRMR level\\(s\\) allow at most 3 distinct p$"
         # A range too long for len() is refused as well: it is measured by slicing.
         for ps in (range(2, 6), [2, 3, 4, 5], range(2, 10**30)):

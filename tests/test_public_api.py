@@ -11,9 +11,10 @@ import scorefit
 
 ROOT = Path(__file__).resolve().parents[1]
 
+VERSION = "0.6.0"
+
 PUBLIC_NAMES = [
     "CorrelationMatrix",
-    "CurvePoint",
     "DimensionError",
     "FactorModel",
     "FitReport",
@@ -24,6 +25,7 @@ PUBLIC_NAMES = [
     "OutputFormat",
     "ParallelSpec",
     "ReportDocument",
+    "RequiredRCurve",
     "ScoreWeights",
     "ScorefitError",
     "SimulationCell",
@@ -76,4 +78,4 @@ def test_version_matches_pyproject():
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     match = re.search(r'^version\s*=\s*"([^"]+)"', text, flags=re.MULTILINE)
     assert match is not None
-    assert scorefit.__version__ == match.group(1)
+    assert scorefit.__version__ == match.group(1) == VERSION

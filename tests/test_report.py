@@ -21,6 +21,7 @@ from scorefit import (
     CorrelationMatrix,
     FactorModel,
     FitReport,
+    RequiredRCurve,
     ScoreWeights,
     factor_implied_sigma,
     fs_implied_sigma,
@@ -28,7 +29,6 @@ from scorefit import (
     srmr,
 )
 from scorefit.cli import main
-from scorefit.fit import CurvePoint
 from scorefit.report import OutputFormat, ReportDocument, _entry_texts, _num
 from scorefit.simulation import LoadingPattern, SimulationCell
 
@@ -175,7 +175,7 @@ class TestSections:
     VALUES = dict(inputs=(("r", "0.64"), ("p", "24")), values=(("srmr", 0.098612345), ("min_p", 157)))
     CURVE = dict(
         inputs=(("levels", "0.06,0.51"), ("p_range", "4:12:8")),
-        curve=(CurvePoint(4, 0.06, 0.8125), CurvePoint(4, 0.51, None), CurvePoint(12, 0.06, 0.75)),
+        curve=RequiredRCurve((0.06, 0.51), (4, 12), ((0.8125, None), (0.75, None))),
     )
     CELLS = dict(
         inputs=(("seed", "9"),),
@@ -226,6 +226,7 @@ class TestSections:
               4     0.0600  0.8125
               4     0.5100  unattainable
               12    0.0600  0.7500
+              12    0.5100  unattainable
             """),
         (OutputFormat.JSON, """
             {
@@ -248,6 +249,11 @@ class TestSections:
                   "p": 12,
                   "srmr_level": 0.06,
                   "required_r": 0.75
+                },
+                {
+                  "p": 12,
+                  "srmr_level": 0.51,
+                  "required_r": null
                 }
               ]
             }
@@ -257,25 +263,34 @@ class TestSections:
         assert ReportDocument(**self.CURVE, fmt=fmt).render() == _text(expected)
 
     def test_csv_curve_writes_what_num_writes(self):
-        # Levels are formatted once per object, so equal values of another type
-        # or sign (1 and 1.0, 0.0 and -0.0) must keep their own texts.
-        shared = np.float64(0.05)
-        curve = (
-            CurvePoint(2, 1, 1),
-            CurvePoint(2, 1.0, 0.0),
-            CurvePoint(2, 0.0, -0.0),
-            CurvePoint(2, -0.0, None),
-            CurvePoint(3, shared, np.float64(0.3)),
-            CurvePoint(np.int64(4), shared, np.int64(0)),
-            CurvePoint(5, 0.06, 0.75),
+        # Levels are formatted once per report, by position, so equal values of
+        # another type or sign (1 and 1.0, 0.0 and -0.0) keep their own texts.
+        curve = RequiredRCurve(
+            levels=(1, 1.0, 0.0, -0.0, np.float64(0.05)),
+            ps=(2, np.int64(4)),
+            required_r=(
+                (1, 0.0, -0.0, None, np.float64(0.3)),
+                (np.int64(0), 0.75, None, 0.5, -0.0),
+            ),
         )
         lines = ReportDocument(curve=curve, fmt=OutputFormat.CSV).render().splitlines()
         assert lines == ["p,srmr_level,required_r"] + [
-            f"{pt.p},{_num(pt.srmr_level)},"
-            + ("unattainable" if pt.required_r is None else _num(pt.required_r))
-            for pt in curve
+            f"{p},{_num(level)}," + ("unattainable" if r is None else _num(r))
+            for p, row in zip(curve.ps, curve.required_r)
+            for level, r in zip(curve.levels, row)
         ]
-        assert lines[1:6] == ["2,1,1", "2,1.0,0.0", "2,0.0,-0.0", "2,-0.0,unattainable", "3,0.05,0.3"]
+        assert lines[1:7] == [
+            "2,1,1", "2,1.0,0.0", "2,0.0,-0.0", "2,-0.0,unattainable", "2,0.05,0.3", "4,1,0",
+        ]
+
+    @pytest.mark.parametrize("fmt", list(OutputFormat))
+    @pytest.mark.parametrize("curve", [
+        RequiredRCurve((0.06, 0.09), (4, 6), ((0.8, 0.7), (0.75,))),  # a short row
+        RequiredRCurve((0.06,), (4, 6), ((0.8,),)),  # a p without a row
+    ])
+    def test_ragged_curve_is_an_error_not_a_truncated_table(self, curve, fmt):
+        with pytest.raises(ValueError, match="zip"):
+            ReportDocument(curve=curve, fmt=fmt).render()
 
     @pytest.mark.parametrize("fmt, expected", [
         (OutputFormat.TABLE, """
