@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scorefit import (
@@ -269,6 +269,15 @@ def _solved(level, p):
         return None
 
 
+def _assert_curve_matches_the_solver(levels, ps):
+    curve = required_r_curve(levels, ps)
+    expected = [[_solved(level, p) for level in sorted(levels)] for p in sorted(set(ps))]
+    # repr tells -0.0 from 0.0 and prints every bit of a float.
+    assert repr(curve.levels) == repr(tuple(sorted(levels)))
+    assert curve.ps == tuple(sorted(set(ps)))
+    assert repr([list(row) for row in curve.required_r]) == repr(expected)
+
+
 # Levels at the r=0 ceilings K(p), where the solver turns from a value to None.
 _curve_levels = st.one_of(
     st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
@@ -301,21 +310,21 @@ class TestRequiredRCurve:
         assert curve.required_r[0] == (None,)
         assert curve.required_r[1][0] is not None
 
-    @example([0.04, 0.06, 0.08, 0.09, 0.12], range(4, 1001))  # the benchmark's curve
-    # K(2) = 0.5 < K(3): levels at and between the two ceilings, from p = 2.
-    @example([1e-300, 0.09, 0.5, 0.51, srmr_parallel_closed_form(0.0, 3), 0.6], range(2, 50))
+    @pytest.mark.parametrize("levels, ps", [
+        ([0.04, 0.06, 0.08, 0.09, 0.12], range(4, 1001)),  # the benchmark's curve
+        # K(2) = 0.5 < K(3): levels at and between the two ceilings, from p = 2.
+        ([1e-300, 0.09, 0.5, 0.51, srmr_parallel_closed_form(0.0, 3), 0.6], range(2, 50)),
+    ])
+    def test_matches_the_per_point_solver_bit_for_bit(self, levels, ps):
+        _assert_curve_matches_the_solver(levels, ps)
+
     @given(
         st.lists(_curve_levels, min_size=1, max_size=6),
         st.lists(st.integers(2, 10**6), min_size=1, max_size=20),
     )
     @settings(derandomize=True, max_examples=100, deadline=None)
-    def test_matches_the_per_point_solver_bit_for_bit(self, levels, ps):
-        curve = required_r_curve(levels, ps)
-        expected = [[_solved(level, p) for level in sorted(levels)] for p in sorted(set(ps))]
-        # repr tells -0.0 from 0.0 and prints every bit of a float.
-        assert repr(curve.levels) == repr(tuple(sorted(levels)))
-        assert curve.ps == tuple(sorted(set(ps)))
-        assert repr([list(row) for row in curve.required_r]) == repr(expected)
+    def test_matches_the_per_point_solver_on_drawn_curves(self, levels, ps):
+        _assert_curve_matches_the_solver(levels, ps)
 
     def test_rejects_bad_levels(self):
         with pytest.raises(ValidationError):
