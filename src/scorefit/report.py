@@ -213,8 +213,9 @@ class ReportDocument:
 
 def _one_line(text: str) -> str:
     # An echoed input keeps to its own line: CR and LF are written as the
-    # escapes \r and \n (JSON escapes them itself).
-    return text.replace("\r", "\\r").replace("\n", "\\n")
+    # escapes \r and \n, and a backslash as \\ so the escape can be undone
+    # (JSON escapes all three itself).
+    return text.replace("\\", "\\\\").replace("\r", "\\r").replace("\n", "\\n")
 
 
 def _csv_quote(text: str) -> str:

@@ -425,9 +425,15 @@ class TestFitCheckCommand:
 
     def test_carriage_return_in_a_csv_field_is_quoted(self, tmp_path, capsys):
         # The matrix path is echoed as an input and in the not-positive-definite
-        # note.  An input line writes CR and LF as the escapes \r and \n; RFC 4180
-        # quotes the note's field, CR or LF, so a CSV reader keeps it in one record.
-        for name, escaped in (("ones\rx.txt", r"ones\rx.txt"), ("ones\nx.txt", r"ones\nx.txt")):
+        # note.  An input line writes CR, LF and backslash as the escapes \r, \n
+        # and \\, so a path holding a backslash and an n reads apart from one
+        # holding a line feed; RFC 4180 quotes the note's field, CR or LF, so a CSV
+        # reader keeps it in one record.
+        for name, escaped in (
+            ("ones\rx.txt", r"ones\rx.txt"),
+            ("ones\nx.txt", r"ones\nx.txt"),
+            ("ones\\nx.txt", r"ones\\nx.txt"),
+        ):
             path = tmp_path / name
             path.write_text("1 1 1\n1 1 1\n1 1 1\n")
             shown = str(tmp_path / escaped)
@@ -437,7 +443,7 @@ class TestFitCheckCommand:
             assert ["x.txt"] not in records
             assert records[0] == [f"# matrix={shown}"]
             assert records[3] == ["record", "model", "i", "j", "value"]  # one record per input
-            if "\r" in name:  # the quoted note holds no line feed
+            if "\n" not in name:  # the quoted note holds no line feed
                 assert len(records) == out.count("\n")
             notes = [record for record in records if record[:1] == ["warning"]]
             assert len(notes) == 1

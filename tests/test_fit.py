@@ -276,6 +276,7 @@ def _assert_curve_matches_the_solver(levels, ps):
     assert repr(curve.levels) == repr(tuple(sorted(levels)))
     assert curve.ps == tuple(sorted(set(ps)))
     assert repr([list(row) for row in curve.required_r]) == repr(expected)
+    return curve
 
 
 # Levels at the r=0 ceilings K(p), where the solver turns from a value to None.
@@ -316,7 +317,9 @@ class TestRequiredRCurve:
         ([1e-300, 0.09, 0.5, 0.51, srmr_parallel_closed_form(0.0, 3), 0.6], range(2, 50)),
     ])
     def test_matches_the_per_point_solver_bit_for_bit(self, levels, ps):
-        _assert_curve_matches_the_solver(levels, ps)
+        curve = _assert_curve_matches_the_solver(levels, ps)
+        # Each case reaches the unattainable branch.
+        assert any(r is None for row in curve.required_r for r in row)
 
     @given(
         st.lists(_curve_levels, min_size=1, max_size=6),
