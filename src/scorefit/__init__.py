@@ -30,7 +30,6 @@ from .fit import (
 from .model import (
     CorrelationMatrix,
     FactorModel,
-    ParallelSpec,
     build_parallel_sigma,
     factor_implied_sigma,
 )
@@ -52,7 +51,7 @@ from .simulation import (
     sample_correlation,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 __all__ = [
     "CorrelationMatrix",
@@ -64,7 +63,6 @@ __all__ = [
     "NearSingularMatrixWarning",
     "NoSolutionError",
     "OutputFormat",
-    "ParallelSpec",
     "ReportDocument",
     "RequiredRCurve",
     "ScoreWeights",

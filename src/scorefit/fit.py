@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 from ._numpy import np
 from .errors import DimensionError, NoSolutionError, ValidationError
-from .model import CorrelationMatrix, ParallelSpec
+from .model import CorrelationMatrix, _parallel_design
 
 
 @dataclass(frozen=True)
@@ -71,15 +71,15 @@ def srmr_parallel_closed_form(r: float, p: int) -> float:
     about p = 9e307 the radicand leaves the binary64 range, and such a p raises
     :class:`ValidationError`.
     """
-    spec = ParallelSpec(r, p)
+    r, p = _parallel_design(r, p)
     try:
-        k = math.sqrt((spec.p - 1) * (2 * spec.p - 1) / (spec.p + 1)) / spec.p
+        k = math.sqrt((p - 1) * (2 * p - 1) / (p + 1)) / p
     except OverflowError:
         raise ValidationError(
             f"p is too large: (p-1)(2p-1)/(p+1) exceeds the binary64 range "
-            f"for this {spec.p.bit_length()}-bit p"
+            f"for this {p.bit_length()}-bit p"
         ) from None
-    return (1.0 - spec.r) * k
+    return (1.0 - r) * k
 
 
 def solve_r_for_srmr(target_srmr: float, p: int) -> float:

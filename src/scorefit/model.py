@@ -1,7 +1,7 @@
 """Core domain types and the linear-algebra kernels every other module builds on.
 
 Holds the covariance/correlation container, the common-factor model, the
-equicorrelation ("parallel measurements") constructor, and the Cholesky
+parallel-measurements matrix built from plain r and p, and the Cholesky
 factorization and positive-definite solve, with an explicit pivot tolerance.
 """
 
@@ -228,22 +228,15 @@ class FactorModel:
         return cls(lam, phi, uniq)
 
 
-@dataclass(frozen=True)
-class ParallelSpec:
-    """Equicorrelation design: p indicators sharing one inter-correlation r."""
-
-    r: float
-    p: int
-
-    def __post_init__(self):
-        # numpy registers its integer types as numbers.Integral; int comes
-        # first because a plain int then skips the slower ABC check.
-        if not (isinstance(self.p, (int, numbers.Integral)) and self.p >= 2):
-            raise ValidationError(f"need an integer p >= 2, got {self.p!r}")
-        if not (math.isfinite(self.r) and 0.0 <= self.r <= 1.0):
-            raise ValidationError(f"need r in [0, 1], got {self.r!r}")
-        object.__setattr__(self, "r", float(self.r))
-        object.__setattr__(self, "p", int(self.p))
+def _parallel_design(r, p) -> tuple[float, int]:
+    """Checked ``(float(r), int(p))``: a Python int p keeps ``(p-1)(2p-1)`` from overflowing."""
+    # numpy registers its integer types as numbers.Integral; int comes
+    # first because a plain int then skips the slower ABC check.
+    if not (isinstance(p, (int, numbers.Integral)) and p >= 2):
+        raise ValidationError(f"need an integer p >= 2, got {p!r}")
+    if not (math.isfinite(r) and 0.0 <= r <= 1.0):
+        raise ValidationError(f"need r in [0, 1], got {r!r}")
+    return float(r), int(p)
 
 
 def factor_implied_sigma(model: FactorModel) -> CorrelationMatrix:
@@ -253,9 +246,10 @@ def factor_implied_sigma(model: FactorModel) -> CorrelationMatrix:
     return CorrelationMatrix(sigma)
 
 
-def build_parallel_sigma(spec: ParallelSpec) -> CorrelationMatrix:
-    """Correlation matrix of parallel measurements: unit diagonal, r elsewhere."""
-    sigma = np.full((spec.p, spec.p), spec.r)
+def build_parallel_sigma(r: float, p: int) -> CorrelationMatrix:
+    """Correlation matrix of p parallel measurements: unit diagonal, r elsewhere."""
+    r, p = _parallel_design(r, p)
+    sigma = np.full((p, p), r)
     np.fill_diagonal(sigma, 1.0)
     return CorrelationMatrix(sigma)
 

@@ -119,7 +119,7 @@ class ReportDocument:
             for label, report in self.fits:
                 lines.append(f"  {label.ljust(width)}  SRMR = {report.srmr:.4f}")
             for label, message in self.warnings:
-                lines.append(f"  warning [{label}]: {message}")
+                lines.append(f"  warning [{label}]: {_one_line(message)}")
             if self.include_residuals:
                 for label, report in self.fits:
                     lines.append(f"residuals ({label})")
@@ -207,14 +207,16 @@ class ReportDocument:
             points = _curve_points(self.curve, self.curve.levels)
             doc["curve"] = [dict(zip(_CURVE_COLUMNS, point)) for point in points]
         if self.cells:
-            doc["cells"] = [dict(zip(_CELL_COLUMNS, _cell_row(c))) for c in self.cells]
+            # JSON has no NaN (the one value unequal to itself): such a cell value is null.
+            rows = ([None if v != v else v for v in _cell_row(c)] for c in self.cells)
+            doc["cells"] = [dict(zip(_CELL_COLUMNS, row)) for row in rows]
         return json.dumps(doc, indent=2) + "\n"
 
 
 def _one_line(text: str) -> str:
-    # An echoed input keeps to its own line: CR and LF are written as the
-    # escapes \r and \n, and a backslash as \\ so the escape can be undone
-    # (JSON escapes all three itself).
+    # An echoed input or a table warning keeps to its own line: CR and LF are
+    # written as the escapes \r and \n, and a backslash as \\ so the escape
+    # can be undone (JSON escapes all three itself).
     return text.replace("\\", "\\\\").replace("\r", "\\r").replace("\n", "\\n")
 
 

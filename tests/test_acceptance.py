@@ -14,7 +14,6 @@ import pytest
 from scorefit import (
     CorrelationMatrix,
     FactorModel,
-    ParallelSpec,
     ScoreWeights,
     bartlett_weights,
     build_parallel_sigma,
@@ -59,7 +58,7 @@ def test_oracle_equivalence_of_pipeline_and_closed_form():
     worst = 0.0
     for r in (0.0, 0.04, 0.16, 0.36, 0.64, 0.9):
         for p in (2, 6, 12, 24, 60):
-            sigma = build_parallel_sigma(ParallelSpec(r, p))
+            sigma = build_parallel_sigma(r, p)
             implied = score_model_implied_sigma(sigma, ScoreWeights.unit(p))
             pipeline = srmr(sigma, implied).srmr
             worst = max(worst, abs(pipeline - srmr_parallel_closed_form(r, p)))

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from scorefit import (
     MatrixParseError,
-    ParallelSpec,
     SingularMatrixError,
     build_parallel_sigma,
     parse_loadings,
@@ -116,7 +115,7 @@ class TestParseMatrix:
         assert parse_matrix(path).p == 1
 
     def test_full_symmetric_round_trip(self, tmp_path):
-        sigma = build_parallel_sigma(ParallelSpec(0.36, 6))
+        sigma = build_parallel_sigma(0.36, 6)
         path = tmp_path / "full.csv"
         write_matrix(path, sigma)
         parsed = parse_matrix(path)
@@ -302,7 +301,7 @@ class TestFitCheckCommand:
 
     def test_identity_matrix_unit_weighted_value(self, tmp_path, capsys):
         path = tmp_path / "eye.txt"
-        write_matrix(path, build_parallel_sigma(ParallelSpec(0.0, 5)))
+        write_matrix(path, build_parallel_sigma(0.0, 5))
         assert main(["fit-check", "--matrix", str(path), "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         # Recomputed through the elementwise oracle: sqrt(0.24).
@@ -317,7 +316,7 @@ class TestFitCheckCommand:
     @pytest.mark.parametrize("bad", ["matrix", "loadings"])
     def test_non_utf8_input_fails_on_stderr(self, tmp_path, capsys, bad):
         matrix, loadings = tmp_path / "m.txt", tmp_path / "l.txt"
-        write_matrix(matrix, build_parallel_sigma(ParallelSpec(0.3, 3)))
+        write_matrix(matrix, build_parallel_sigma(0.3, 3))
         loadings.write_text("0.5\n0.5\n0.5\n")
         (matrix if bad == "matrix" else loadings).write_bytes(b"\xff\xfe0.5\n")
         assert main(["fit-check", "--matrix", str(matrix), "--loadings", str(loadings)]) == 1
@@ -339,7 +338,7 @@ class TestFitCheckCommand:
     def _matrix_with_undecodable_name(tmp_path):
         # The byte 0xff decodes to a lone surrogate, which no strict codec encodes.
         path = tmp_path / os.fsdecode(b"m\xff.txt")
-        write_matrix(path, build_parallel_sigma(ParallelSpec(0.3, 3)))
+        write_matrix(path, build_parallel_sigma(0.3, 3))
         return path
 
     def test_out_keeps_the_bytes_of_an_undecodable_filename(self, tmp_path, capsys):
@@ -371,7 +370,7 @@ class TestFitCheckCommand:
 
     def test_reflective_requires_loadings(self, tmp_path, capsys):
         path = tmp_path / "eye.txt"
-        write_matrix(path, build_parallel_sigma(ParallelSpec(0.0, 3)))
+        write_matrix(path, build_parallel_sigma(0.0, 3))
         assert main(["fit-check", "--matrix", str(path), "--reflective"]) == 1
         assert "loadings" in capsys.readouterr().err
 
@@ -385,7 +384,7 @@ class TestFitCheckCommand:
     def test_input_echo_order_and_checksums(self, tmp_path, capsys, source, loadings, reflective):
         p = 20 if source == "demo" else 4
         matrix, loadings_file = tmp_path / "m.txt", tmp_path / "l.txt"
-        write_matrix(matrix, build_parallel_sigma(ParallelSpec(0.36, p)))
+        write_matrix(matrix, build_parallel_sigma(0.36, p))
         loadings_file.write_text("0.6\n" * p)
         argv = ["fit-check", "--format", "csv"]
         argv += ["--demo", "stai"] if source == "demo" else ["--matrix", str(matrix)]
@@ -428,7 +427,8 @@ class TestFitCheckCommand:
         # note.  An input line writes CR, LF and backslash as the escapes \r, \n
         # and \\, so a path holding a backslash and an n reads apart from one
         # holding a line feed; RFC 4180 quotes the note's field, CR or LF, so a CSV
-        # reader keeps it in one record.
+        # reader keeps it in one record, and the table escapes the note as it does
+        # an input.
         for name, escaped in (
             ("ones\rx.txt", r"ones\rx.txt"),
             ("ones\nx.txt", r"ones\nx.txt"),
@@ -452,12 +452,22 @@ class TestFitCheckCommand:
             assert notes[0][4].endswith(")")
 
             assert main(["fit-check", "--matrix", str(path)]) == 0
-            table = capsys.readouterr().out.split("\n")
+            out = capsys.readouterr().out
+            assert "\r" not in out
+            table = out.split("\n")
             # One line per input: the matrix, its checksum and p.
             assert table[0] == "inputs"
             assert table[1] == f"  matrix         {shown}"
             assert table[3] == "  p              3"
             assert table[4] == "fit"
+            # The note, which echoes the path, keeps to one line too.
+            warned = [line for line in table if line.startswith("  warning [unit_weighted]: ")]
+            assert len(warned) == 1
+            assert warned[0].startswith(
+                f"  warning [unit_weighted]: {shown}: matrix is not positive definite (Cholesky pivot"
+            )
+            assert warned[0].endswith(")")
+            assert not any(line.startswith("x.txt") for line in table)
 
     @pytest.mark.parametrize("reflective", [False, True])
     def test_non_pd_matrix_with_loadings_names_the_failing_model(self, tmp_path, capsys, reflective):
@@ -498,7 +508,7 @@ class TestFitCheckCommand:
     @pytest.mark.parametrize("with_loadings", [False, True])
     def test_sigma_is_factored_once(self, tmp_path, capsys, monkeypatch, with_loadings):
         matrix, loadings = tmp_path / "m.txt", tmp_path / "l.txt"
-        write_matrix(matrix, build_parallel_sigma(ParallelSpec(0.3, 5)))
+        write_matrix(matrix, build_parallel_sigma(0.3, 5))
         loadings.write_text("0.5\n0.6\n0.5\n0.6\n0.5\n")
         original, shapes = scorefit.model.cholesky_lower, []
 

@@ -10,7 +10,6 @@ from scorefit import (
     DimensionError,
     FitReport,
     NoSolutionError,
-    ParallelSpec,
     ScoreWeights,
     ValidationError,
     build_parallel_sigma,
@@ -27,7 +26,7 @@ from scorefit.fit import _srmr_from_squares
 
 def pipeline_srmr(r, p):
     """Elementwise route: equicorrelation matrix -> projection -> residual RMS."""
-    sigma = build_parallel_sigma(ParallelSpec(r, p))
+    sigma = build_parallel_sigma(r, p)
     implied = score_model_implied_sigma(sigma, ScoreWeights.unit(p))
     return srmr(sigma, implied)
 
@@ -43,7 +42,7 @@ class TestSrmr:
         assert srmr(a, b).srmr == pytest.approx(math.sqrt(0.02 / 6), abs=1e-15)
 
     def test_symmetric_in_arguments(self, stai_sigma):
-        other = build_parallel_sigma(ParallelSpec(0.4, 20))
+        other = build_parallel_sigma(0.4, 20)
         assert srmr(stai_sigma, other).srmr == srmr(other, stai_sigma).srmr
 
     def test_dimension_mismatch(self):

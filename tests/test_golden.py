@@ -65,3 +65,28 @@ def test_golden(name):
         assert _same_tokens(actual[stream], expected[stream]), (
             f"{name}: {stream} {_first_difference(actual[stream], expected[stream])}, {mode}"
         )
+
+
+_JSON_REPORTS = sorted(
+    name for name, argv in regen.COMMANDS.items()
+    if ["--format", "json"] in (argv[i : i + 2] for i in range(len(argv)))
+)
+
+
+def _no_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_every_report_has_a_json_golden():
+    assert {f"{name}.json" for name in regen._REPORTS} <= set(_JSON_REPORTS)
+
+
+@pytest.mark.parametrize("name", _JSON_REPORTS)
+def test_json_golden_is_strict_json(name):
+    # Strict readers take no NaN or Infinity.  test_golden ties each stored
+    # text to what the command writes now, so checking the stored one suffices.
+    golden = regen.load(regen.GOLDEN_DIR / f"{name}.json")
+    if golden["exit"] == 0:
+        assert isinstance(json.loads(golden["stdout"], parse_constant=_no_constant), dict)
+    else:
+        assert golden["stdout"] == ""

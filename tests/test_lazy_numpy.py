@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scorefit import ParallelSpec, ValidationError
+from scorefit import ValidationError, build_parallel_sigma, srmr_parallel_closed_form
 from scorefit.report import _num
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -129,13 +129,17 @@ else:
 class TestIntegerChecksWithoutNumpy:
     # numpy registers its integer types as numbers.Integral, which the closed
     # form's checks test for.
-    def test_parallel_spec_takes_a_numpy_integer(self):
-        spec = ParallelSpec(0.5, np.int64(10))
-        assert spec.p == 10 and type(spec.p) is int
+    def test_parallel_design_takes_a_numpy_integer(self):
+        assert srmr_parallel_closed_form(0.5, np.int64(10)) == srmr_parallel_closed_form(0.5, 10)
+        assert build_parallel_sigma(0.5, np.int64(10)).p == 10
+        # p becomes a Python int, where (p-1)(2p-1) in int64 would wrap around.
+        huge = 2**62
+        assert srmr_parallel_closed_form(0.5, np.int64(huge)) == srmr_parallel_closed_form(0.5, huge)
 
-    def test_parallel_spec_rejects_a_bool(self):
-        with pytest.raises(ValidationError, match="integer p >= 2"):
-            ParallelSpec(0.5, True)
+    def test_parallel_design_rejects_a_bool(self):
+        for build in (build_parallel_sigma, srmr_parallel_closed_form):
+            with pytest.raises(ValidationError, match="integer p >= 2"):
+                build(0.5, True)
 
     def test_num_keeps_a_numpy_integer_an_integer(self):
         assert _num(np.int64(3)) == "3"

@@ -10,11 +10,11 @@ from scorefit import (
     DimensionError,
     FactorModel,
     NearSingularMatrixWarning,
-    ParallelSpec,
     SingularMatrixError,
     ValidationError,
     build_parallel_sigma,
     factor_implied_sigma,
+    srmr_parallel_closed_form,
 )
 from scorefit.model import cholesky_lower, spd_solve
 
@@ -194,29 +194,31 @@ class TestFactorImpliedSigma:
 
 class TestBuildParallelSigma:
     def test_zero_r_is_identity(self):
-        assert np.array_equal(build_parallel_sigma(ParallelSpec(0.0, 4)).values, np.eye(4))
+        assert np.array_equal(build_parallel_sigma(0.0, 4).values, np.eye(4))
 
     def test_unit_r_is_all_ones(self):
-        assert np.array_equal(build_parallel_sigma(ParallelSpec(1.0, 3)).values, np.ones((3, 3)))
+        assert np.array_equal(build_parallel_sigma(1.0, 3).values, np.ones((3, 3)))
 
     def test_table_cell_values(self):
-        sigma = build_parallel_sigma(ParallelSpec(0.36, 6))
+        sigma = build_parallel_sigma(0.36, 6)
         off = sigma.values[~np.eye(6, dtype=bool)]
         assert np.all(off == 0.36)
         assert np.all(np.diag(sigma.values) == 1.0)
 
     def test_rejects_bad_spec(self):
-        with pytest.raises(ValidationError):
-            ParallelSpec(0.5, 1)
-        with pytest.raises(ValidationError):
-            ParallelSpec(-0.1, 4)
-        with pytest.raises(ValidationError):
-            ParallelSpec(1.2, 4)
+        # The matrix and the closed form check (r, p) alike, with the same texts.
+        for build in (build_parallel_sigma, srmr_parallel_closed_form):
+            with pytest.raises(ValidationError, match=r"^need an integer p >= 2, got 1$"):
+                build(0.5, 1)
+            with pytest.raises(ValidationError, match=r"^need r in \[0, 1\], got -0\.1$"):
+                build(-0.1, 4)
+            with pytest.raises(ValidationError, match=r"^need r in \[0, 1\], got 1\.2$"):
+                build(1.2, 4)
 
     @pytest.mark.parametrize("r", [0.0, 0.2, 0.5, 0.9])
     @pytest.mark.parametrize("p", [2, 5, 12])
     def test_two_distinct_eigenvalues(self, r, p):
-        eig = np.linalg.eigvalsh(build_parallel_sigma(ParallelSpec(r, p)).values)
+        eig = np.linalg.eigvalsh(build_parallel_sigma(r, p).values)
         expected = np.sort(np.r_[np.full(p - 1, 1.0 - r), 1.0 + (p - 1) * r])
         assert np.allclose(eig, expected, atol=1e-12)
 
@@ -227,20 +229,20 @@ class TestSpdSolve:
         assert np.abs(stai_sigma.values @ x - np.eye(stai_sigma.p)).max() < 1e-8
 
     def test_singular_names_pivot(self):
-        singular = build_parallel_sigma(ParallelSpec(1.0, 3))
+        singular = build_parallel_sigma(1.0, 3)
         with pytest.raises(SingularMatrixError, match="pivot 1") as excinfo:
             spd_solve(singular.values, np.eye(3))
         assert excinfo.value.pivot_index == 1
 
     def test_near_singular_warns(self):
         r = 1.0 - 5e-7  # second pivot ~1e-6, above cutoff but inside warn band
-        sigma = build_parallel_sigma(ParallelSpec(r, 2))
+        sigma = build_parallel_sigma(r, 2)
         with pytest.warns(NearSingularMatrixWarning):
             x = spd_solve(sigma.values, np.eye(2))
         assert np.abs(sigma.values @ x - np.eye(2)).max() < 1e-6
 
     def test_only_solve_warns_on_a_near_singular_matrix(self):
-        sigma = build_parallel_sigma(ParallelSpec(1.0 - 5e-7, 2))
+        sigma = build_parallel_sigma(1.0 - 5e-7, 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             lower = cholesky_lower(sigma.values)

@@ -1,8 +1,10 @@
 """Pins of the public surface: the package exports, the names the benchmark's
-tracer wraps, and the package version."""
+tracer wraps, the package version and the README's Library example."""
 
+import contextlib
 import importlib
 import importlib.util
+import io
 import re
 import sys
 from pathlib import Path
@@ -11,7 +13,7 @@ import scorefit
 
 ROOT = Path(__file__).resolve().parents[1]
 
-VERSION = "0.6.0"
+VERSION = "0.7.0"
 
 PUBLIC_NAMES = [
     "CorrelationMatrix",
@@ -23,7 +25,6 @@ PUBLIC_NAMES = [
     "NearSingularMatrixWarning",
     "NoSolutionError",
     "OutputFormat",
-    "ParallelSpec",
     "ReportDocument",
     "RequiredRCurve",
     "ScoreWeights",
@@ -79,3 +80,23 @@ def test_version_matches_pyproject():
     match = re.search(r'^version\s*=\s*"([^"]+)"', text, flags=re.MULTILINE)
     assert match is not None
     assert scorefit.__version__ == match.group(1) == VERSION
+
+
+def test_readme_library_example_prints_what_its_comments_say(tmp_path, monkeypatch):
+    # Each print in the README's Library example carries its value as a
+    # comment, to the precision shown ("# 0.1969", "# ~0.816").
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1]
+    code = re.search(r"```python\n(.*?)```", library, flags=re.DOTALL).group(1)
+    shown = [line.split("#", 1)[1].strip().lstrip("~") for line in code.splitlines()
+             if line.startswith("print(")]
+    assert shown
+    monkeypatch.chdir(tmp_path)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    printed = out.getvalue().split()
+    assert len(printed) == len(shown)
+    for value, comment in zip(printed, shown):
+        decimals = len(comment.partition(".")[2])
+        assert f"{float(value):.{decimals}f}" == comment

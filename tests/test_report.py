@@ -331,8 +331,8 @@ class TestSections:
                   "p": 24,
                   "pattern": "variable",
                   "population_srmr": 0.105,
-                  "mean_srmr_s": NaN,
-                  "sd_srmr_s": NaN,
+                  "mean_srmr_s": null,
+                  "sd_srmr_s": null,
                   "replications_used": 0
                 }
               ]
@@ -348,8 +348,7 @@ class TestSections:
               unit_weighted  SRMR = 0.2500
               reflective     SRMR = 0.5000
               warning [unit_weighted]: smallest Cholesky pivot 1e-07, "near" singular
-              warning [unit_weighted]: two
-            lines
+              warning [unit_weighted]: two\\nlines
               warning [reflective]: plain
             """),
         (OutputFormat.CSV, """

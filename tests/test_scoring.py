@@ -6,7 +6,6 @@ from scorefit import (
     DimensionError,
     FactorModel,
     NearSingularMatrixWarning,
-    ParallelSpec,
     ScoreWeights,
     SingularMatrixError,
     ValidationError,
@@ -20,7 +19,7 @@ from scorefit import (
 
 
 def one_factor_parallel(l, p):
-    sigma = build_parallel_sigma(ParallelSpec(l * l, p))
+    sigma = build_parallel_sigma(l * l, p)
     model = FactorModel.from_standardized_loadings(np.full(p, l))
     return sigma, model
 
@@ -64,7 +63,7 @@ class TestRegressionWeights:
         assert np.abs(via_weights.values - direct.values).max() < 1e-8
 
     def test_singular_sigma_raises(self):
-        sigma = build_parallel_sigma(ParallelSpec(1.0, 3))
+        sigma = build_parallel_sigma(1.0, 3)
         model = FactorModel(np.full(3, 0.5), np.eye(1), np.full(3, 0.75))
         with pytest.raises(SingularMatrixError):
             regression_weights(sigma, model)
@@ -145,7 +144,7 @@ class TestLargeCovariance:
 class TestScoreModelImpliedSigma:
     @pytest.mark.parametrize("r,p", [(0.0, 3), (0.36, 6), (0.64, 24)])
     def test_parallel_unit_weights_closed_form(self, r, p):
-        sigma = build_parallel_sigma(ParallelSpec(r, p))
+        sigma = build_parallel_sigma(r, p)
         implied = score_model_implied_sigma(sigma, ScoreWeights.unit(p))
         assert np.allclose(implied.values, np.full((p, p), r + (1 - r) / p), atol=1e-13)
 

@@ -16,7 +16,7 @@ from scorefit import (
     srmr,
     srmr_parallel_closed_form,
 )
-from scorefit.model import PIVOT_TOL, ParallelSpec, cholesky_lower
+from scorefit.model import PIVOT_TOL, cholesky_lower
 from scorefit.simulation import (
     MAX_POPULATION_ENTRIES,
     MAX_REPLICATIONS,
@@ -108,7 +108,7 @@ class TestPopulationCorrelation:
     def test_constant_loadings_match_parallel_matrix(self):
         lam = np.full(8, 0.6)
         direct = population_correlation(lam)
-        parallel = build_parallel_sigma(ParallelSpec(0.36, 8))
+        parallel = build_parallel_sigma(0.36, 8)
         assert np.abs(direct.values - parallel.values).max() < 1e-12
 
 
