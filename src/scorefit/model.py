@@ -217,9 +217,13 @@ class FactorModel:
         q = lam.shape[1]
         phi = np.eye(q) if factor_correlations is None else factor_correlations
         phi = _factor_correlations(phi, q)
-        communalities = np.diag(lam @ phi @ lam.T)
+        # Only the diagonal of L Phi L' is needed: O(pq), and for one factor
+        # each entry is exactly lambda_i^2.  A loading too large to square
+        # gives an inf communality, refused below, not a numpy warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            communalities = ((lam @ phi) * lam).sum(axis=1)
         uniq = 1.0 - communalities
-        if (uniq <= 0.0).any():
+        if not (uniq > 0.0).all():
             worst = int(np.argmin(uniq))
             raise ValidationError(
                 f"communality of indicator {worst} is {communalities[worst]:.4f} >= 1; "

@@ -26,7 +26,7 @@ from enum import Enum
 from itertools import product
 
 from ._numpy import np
-from .errors import ValidationError
+from .errors import ScorefitError, ValidationError
 from .fit import _srmr_from_squares
 from .model import PIVOT_TOL, CorrelationMatrix, cholesky_lower
 
@@ -261,7 +261,13 @@ def _population(l: float, p: int, pattern: LoadingPattern) -> tuple[float, np.nd
     # Population SRMR and Cholesky factor of one (l, p) population.  The
     # population is scored by the replications' kernel, as a stack of one.
     population = population_correlation(population_loadings(l, p, pattern)).values
-    return float(_unit_srmr(population[None])[0]), cholesky_lower(population)
+    try:
+        chol = cholesky_lower(population)
+    except ScorefitError as exc:
+        # Name the population; the exception keeps its class and attributes.
+        exc.args = (f"population l={l!r}, p={p}, {pattern.value} pattern: {exc}",) + exc.args[1:]
+        raise
+    return float(_unit_srmr(population[None])[0]), chol
 
 
 def _run_cell(

@@ -1,12 +1,14 @@
 """Golden CLI outputs: the command set, how one command runs, and regeneration.
 
-Each ``<name>.json`` here holds one command's argv, exit status, stdout and
-stderr, with the two texts stored as lists of lines so that a diff of the
-goldens reads line by line.  ``fingerprint.json`` records the numpy version,
-the BLAS and the machine the goldens were made with; ``tests/test_golden.py``
-compares bytes where the fingerprint matches and numbers to a tolerance
-elsewhere.  Commands run in-process through ``scorefit.cli.main`` from
-``inputs/``, so echoed paths are relative.
+The goldens are the CLI contract: a behaviour is pinned by adding its argv
+to ``COMMANDS`` and regenerating.  Each ``<name>.json`` here holds one
+command's argv, exit status, stdout and stderr, with the two texts stored as
+lists of lines so that a diff of the goldens reads line by line.
+``fingerprint.json`` records the numpy version, the BLAS and the machine the
+goldens were made with; ``mismatch`` compares bytes where the fingerprint
+matches and numbers to a tolerance elsewhere.  Commands run from ``inputs/``,
+so echoed paths are relative: in-process through ``scorefit.cli.main`` here
+and in ``tests/test_golden.py``, and as a fresh process in ``replay.py``.
 
 Usage, from the repository root::
 
@@ -21,15 +23,20 @@ width.
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
+import itertools
 import json
+import math
 import os
 import platform
+import re
 import sys
 from pathlib import Path
 
 GOLDEN_DIR = Path(__file__).resolve().parent
 INPUTS = GOLDEN_DIR / "inputs"
+SRC = GOLDEN_DIR.parents[1] / "src"
 FINGERPRINT = GOLDEN_DIR / "fingerprint.json"
 
 _FORMATS = ("table", "csv", "json")
@@ -94,6 +101,10 @@ _ONCE = {
     "fit-check-covariance-1e12.csv": [
         "fit-check", "--matrix", "covariance_1e12.txt", "--residuals", "--format", "csv",
     ],
+    # A loading too large to square: the communality error, and no numpy warning.
+    "fit-check-loading-1e200": [
+        "fit-check", "--matrix", "whitespace.txt", "--loadings", "loading_1e200.txt",
+    ],
     "fit-check-reflective-without-loadings": [
         "fit-check", "--matrix", "ones.txt", "--reflective",
     ],
@@ -101,9 +112,18 @@ _ONCE = {
     "closed-form-min-p-beyond-2-53": ["closed-form", "--min-p", "1e-300", "--r", "0.1"],
     "closed-form-min-p-r-1": ["closed-form", "--min-p", "0.09", "--r", "1.0"],
     "closed-form-curve-without-range": ["closed-form", "--curve", "0.1"],
+    "closed-form-curve-unread-r": [
+        "closed-form", "--curve", "0.06", "--p-range", "4:6", "--r", "0.5",
+    ],
+    "closed-form-evaluate-p-1": ["closed-form", "--r", "0.5", "--p", "1"],
     "closed-form-no-mode": ["closed-form"],
     "simulate-odd-p-variable": ["simulate", "--p", "7", "--pattern", "variable"],
     "simulate-loading-1": ["simulate", "--l", "1.0"],
+    # A population that cannot be factored: the error names it.
+    "simulate-singular-population": [
+        "simulate", "--n", "150", "--l", "0.9999999999999999", "--p", "6", "--reps", "5",
+        "--pattern", "constant",
+    ],
 }
 
 COMMANDS = {
@@ -150,6 +170,53 @@ def load(path: Path) -> dict:
     return golden
 
 
+_NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+
+
+def _same_tokens(actual: str, expected: str) -> bool:
+    """The texts between numbers match exactly, and each number to 1e-12 relative."""
+    got, want = _NUMBER.split(actual), _NUMBER.split(expected)
+    return (
+        len(got) == len(want)
+        and got[0::2] == want[0::2]
+        and all(
+            math.isclose(float(a), float(b), rel_tol=1e-12, abs_tol=1e-15)
+            for a, b in zip(got[1::2], want[1::2])
+        )
+    )
+
+
+@functools.cache
+def compare_mode() -> tuple[bool, str]:
+    """Whether ``mismatch`` compares bytes here, and why."""
+    recorded = json.loads(FINGERPRINT.read_text(encoding="utf-8"))
+    if recorded == fingerprint():
+        return True, f"byte compare (fingerprint {recorded} matches)"
+    return False, f"token compare (fingerprint {fingerprint()} is not the recorded {recorded})"
+
+
+def mismatch(actual: dict, expected: dict) -> str | None:
+    """The first way a run differs from its golden, or None where they match.
+
+    Where this machine's fingerprint is the recorded one, exit status, stdout
+    and stderr must match byte for byte.  Elsewhere a last-bit BLAS difference
+    is allowed: the texts between numbers must match exactly, and each number
+    to 1e-12 relative (1e-15 absolute, for residuals that are rounding noise
+    around zero).  ``compare_mode`` says which applies.
+    """
+    same = str.__eq__ if compare_mode()[0] else _same_tokens
+    if actual["argv"] != expected["argv"]:
+        return f"argv {actual['argv']} is not the golden's: rerun tests/golden/regen.py"
+    if actual["exit"] != expected["exit"]:
+        return f"exit status {actual['exit']}, want {expected['exit']}"
+    for stream in ("stdout", "stderr"):
+        got, want = actual[stream].splitlines(True), expected[stream].splitlines(True)
+        for lineno, (line, golden_line) in enumerate(itertools.zip_longest(got, want), 1):
+            if line is None or golden_line is None or not same(line, golden_line):
+                return f"{stream} line {lineno}: got {line!r}, want {golden_line!r}"
+    return None
+
+
 def _dump(path: Path, data: dict) -> None:
     path.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
 
@@ -167,5 +234,5 @@ def regenerate() -> None:
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(GOLDEN_DIR.parents[1] / "src"))
+    sys.path.insert(0, str(SRC))
     regenerate()

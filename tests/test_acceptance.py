@@ -54,6 +54,20 @@ def test_closed_form_matches_published_population_column(table2):
     )
 
 
+def test_simulated_populations_match_both_published_population_columns(desk_scale_tables, table2):
+    worst = {}
+    for pattern, column in ((LoadingPattern.CONSTANT, 0), (LoadingPattern.VARIABLE, 3)):
+        worst[pattern.value] = max(
+            abs(cell.population_srmr - table2[(cell.n, cell.l, cell.p)][column])
+            for cell in desk_scale_tables[pattern]
+        )
+    _verdict(
+        "simulate's population SRMR matches both published population columns (tol 0.005)",
+        max(worst.values()) <= 0.005,
+        ", ".join(f"worst |diff| {pattern} = {value:.5f}" for pattern, value in worst.items()),
+    )
+
+
 def test_oracle_equivalence_of_pipeline_and_closed_form():
     worst = 0.0
     for r in (0.0, 0.04, 0.16, 0.36, 0.64, 0.9):

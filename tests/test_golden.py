@@ -1,49 +1,21 @@
 """Golden CLI outputs: each command in tests/golden/regen.py against its stored result.
 
-Where the numpy/BLAS/machine fingerprint matches the one stored with the
-goldens, exit status, stdout and stderr must match byte for byte.  Elsewhere a
-last-bit BLAS difference is allowed: the texts between numbers must match
-exactly, and each number to 1e-12 relative (1e-15 absolute, for residuals that
-are rounding noise around zero).  ``python tests/golden/regen.py`` rewrites the
-goldens.
+Each command runs in-process and is compared by ``regen.mismatch``: bytes
+where the numpy/BLAS/machine fingerprint matches the one stored with the
+goldens, numbers to a tolerance elsewhere.  ``python tests/golden/regen.py``
+rewrites the goldens; ``python tests/golden/replay.py`` checks them through
+fresh processes.
 """
 
-import importlib.util
 import json
-import math
-import re
+import sys
 from pathlib import Path
 
 import pytest
 
-_spec = importlib.util.spec_from_file_location(
-    "golden_regen", Path(__file__).parent / "golden" / "regen.py"
-)
-regen = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(regen)
-
-_RECORDED = json.loads(regen.FINGERPRINT.read_text(encoding="utf-8"))
-_BYTE_MODE = _RECORDED == regen.fingerprint()
-_NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
-
-
-def _same_tokens(actual: str, expected: str) -> bool:
-    got, want = _NUMBER.split(actual), _NUMBER.split(expected)
-    return (
-        len(got) == len(want)
-        and got[0::2] == want[0::2]
-        and all(
-            math.isclose(float(a), float(b), rel_tol=1e-12, abs_tol=1e-15)
-            for a, b in zip(got[1::2], want[1::2])
-        )
-    )
-
-
-def _first_difference(actual: str, expected: str) -> str:
-    for lineno, (got, want) in enumerate(zip(actual.splitlines(), expected.splitlines()), 1):
-        if not _same_tokens(got, want):
-            return f"line {lineno}: got {got!r}, want {want!r}"
-    return f"got {len(actual.splitlines())} lines, want {len(expected.splitlines())}"
+sys.path.insert(0, str(Path(__file__).parent / "golden"))
+import regen  # noqa: E402
+import replay  # noqa: E402
 
 
 def test_every_golden_has_a_command():
@@ -54,17 +26,37 @@ def test_every_golden_has_a_command():
 @pytest.mark.parametrize("name", sorted(regen.COMMANDS))
 def test_golden(name):
     expected = regen.load(regen.GOLDEN_DIR / f"{name}.json")
-    assert expected["argv"] == regen.COMMANDS[name], f"{name}: rerun tests/golden/regen.py"
-    actual = regen.run(regen.COMMANDS[name])
-    if _BYTE_MODE:
-        assert actual == expected, f"{name}: byte compare (fingerprint {_RECORDED} matches)"
-        return
-    mode = f"token compare (fingerprint {regen.fingerprint()} is not the recorded {_RECORDED})"
-    assert actual["exit"] == expected["exit"], f"{name}: exit status, {mode}"
-    for stream in ("stdout", "stderr"):
-        assert _same_tokens(actual[stream], expected[stream]), (
-            f"{name}: {stream} {_first_difference(actual[stream], expected[stream])}, {mode}"
-        )
+    difference = regen.mismatch(regen.run(regen.COMMANDS[name]), expected)
+    assert difference is None, f"{name}: {difference}, {regen.compare_mode()[1]}"
+
+
+def test_mismatch_names_the_first_difference(monkeypatch):
+    golden = regen.load(regen.GOLDEN_DIR / "fit-check-stai.table.json")
+    assert regen.mismatch(golden, golden) is None
+    changed = dict(golden, stdout=golden["stdout"].replace("0.1969", "0.1968"))
+    assert regen.mismatch(changed, golden) == (
+        "stdout line 8: got '  unit_weighted  SRMR = 0.1968\\n', "
+        "want '  unit_weighted  SRMR = 0.1969\\n'"
+    )
+    warned = dict(golden, stderr="RuntimeWarning: overflow encountered in matmul\n")
+    assert regen.mismatch(warned, golden) == (
+        "stderr line 1: got 'RuntimeWarning: overflow encountered in matmul\\n', want None"
+    )
+    assert regen.mismatch(dict(golden, exit=1), golden) == "exit status 1, want 0"
+    # Off the recorded fingerprint, numbers match to 1e-12 relative and text exactly.
+    monkeypatch.setattr(regen, "compare_mode", lambda: (False, "token compare"))
+    nearby = dict(golden, stdout=golden["stdout"].replace("0.1969", "0.19690000000001"))
+    assert regen.mismatch(nearby, golden) is None
+    assert regen.mismatch(changed, golden).startswith("stdout line 8: ")
+    assert regen.mismatch(warned, golden).startswith("stderr line 1: ")
+
+
+@pytest.mark.parametrize("name", ["closed-form-evaluate-p-1", "fit-check-loading-1e200"])
+def test_replay_runs_a_golden_in_a_fresh_process(name):
+    # The children run with strict warnings, so any numpy warning on the
+    # 1e200 loading's path would end in a traceback.
+    expected = regen.load(regen.GOLDEN_DIR / f"{name}.json")
+    assert regen.mismatch(replay.replay(regen.COMMANDS[name]), expected) is None
 
 
 _JSON_REPORTS = sorted(
