@@ -51,7 +51,7 @@ from .simulation import (
     sample_correlation,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 __all__ = [
     "CorrelationMatrix",

@@ -89,7 +89,7 @@ def solve_r_for_srmr(target_srmr: float, p: int) -> float:
     the r=0 value.  Targets above K(p) raise :class:`NoSolutionError`.
     """
     if not (math.isfinite(target_srmr) and target_srmr > 0.0):
-        raise ValidationError(f"target SRMR must be positive, got {target_srmr!r}")
+        raise ValidationError(f"target SRMR must be positive and finite, got {target_srmr!r}")
     ceiling = srmr_parallel_closed_form(0.0, p)
     if target_srmr > ceiling:
         raise NoSolutionError(
@@ -108,7 +108,7 @@ def min_p_for_srmr(target_srmr: float, r: float) -> int:
     :class:`NoSolutionError`: beyond that binary64 cannot tell p from p-1.
     """
     if not (math.isfinite(target_srmr) and target_srmr > 0.0):
-        raise ValidationError(f"target SRMR must be positive, got {target_srmr!r}")
+        raise ValidationError(f"target SRMR must be positive and finite, got {target_srmr!r}")
     if not (math.isfinite(r) and 0.0 <= r < 1.0):
         raise ValidationError(f"need r in [0, 1), got {r!r}")
     if srmr_parallel_closed_form(r, 2) <= target_srmr:
@@ -165,7 +165,7 @@ def required_r_curve(
         raise ValidationError("the curve needs at least one SRMR level")
     for level in levels:
         if not (math.isfinite(level) and level > 0.0):
-            raise ValidationError(f"SRMR levels must be positive, got {level!r}")
+            raise ValidationError(f"SRMR levels must be positive and finite, got {level!r}")
     most_ps = MAX_CURVE_POINTS // len(levels)
     too_many = (
         f"the curve is capped at {MAX_CURVE_POINTS} points: {len(levels)} SRMR "

@@ -10,10 +10,17 @@ stream derived from the master seed and the cell parameters, read in
 replication order, so results are identical no matter which subset of cells a
 config requests, and raising the replication count only appends replications.
 
+A block's correlation matrices are formed without dividing the scatter
+matrix: each row of the scaled triangular factor a = L T is scaled to unit
+length, so a a' is the correlation matrix itself, with its diagonal written as
+exactly 1.  The implied matrix of the unit-weighted scale is u u' with
+u = R 1 / sqrt(1'R 1), and the residual R - u u' is formed entry by entry.
+
 Each distinct (l, p) population, its Cholesky factor and its population SRMR
 are built once per ``run_simulation`` call and shared by the cells of every n;
-nothing is kept between calls.  Within a cell, the triangular factor buffer and
-its indices are set up once and reused by every block of replications.
+nothing is kept between calls.  One workspace of flat buffers is allocated per
+call as well: every block of every cell draws, forms R and scores it in views
+of those buffers, so no block allocates an array of its own size.
 
 Cells run one after another on one thread.  The CLI accepts ``--workers`` for
 compatibility; it has no effect.
@@ -31,18 +38,24 @@ from .fit import _srmr_from_squares
 from .model import PIVOT_TOL, CorrelationMatrix, cholesky_lower
 
 # Replications per block are sized so that one block's (reps, p, p) arrays hold
-# about this many elements each: 128 KiB of float64, so the arrays a block works
-# on stay in a 2 MiB L2 cache.  On the default grid (both patterns, 1000
-# replications, one BLAS thread, 2-vCPU Xeon) 2**16 ran about 10% slower and
-# 2**12 about 30% slower.
+# about this many elements each: 128 KiB of float64, so the workspace's four
+# buffers (512 KiB) stay in a 2 MiB L2 cache.  On the default grid (both
+# patterns, 1000 replications, one BLAS thread, 2-vCPU Xeon VM; medians of 8
+# rounds, each the fastest of 5 calls) 2**13 took 26% longer than 2**14,
+# 2**15 8% and 2**16 3%.  Each call touches its workspace afresh, so the page
+# faults of a call grow with it: one benchmark sim-grid call (200 replications,
+# after the CLI's malloc_trim) took about 225 minor faults at 2**14, 450 at
+# 2**15 and 900 at 2**16, and 12,700 when the same buffers were allocated per
+# block instead of per call (getrusage ru_minflt).
 _BLOCK_ELEMENTS = 2**14
 
 # Caps on one config, checked before anything is allocated, so that no request
 # needs much more than 1 GiB.  A cell keeps one float64 per replication, and its
-# mean and SD take a copy: 2**26 replications peak at 1.1 GiB.  Every distinct
-# (l, p) population keeps its p x p Cholesky factor for the whole call, and the
-# running cell works on four more p x p arrays at most: 2**24 entries in all
-# (p = 4096 alone) peak at 0.63 GiB.
+# SD takes a temporary of the same size; only a cell that dropped replications
+# first copies the ones it kept: 2**26 replications peak at 1 GiB, or 1.1 GiB
+# with drops.  Every distinct (l, p) population keeps its p x p Cholesky factor
+# for the whole call, and the workspace holds four more p x p arrays at most:
+# 2**24 entries in all (p = 4096 alone) peak at 0.63 GiB.
 MAX_REPLICATIONS = 2**26
 MAX_POPULATION_ENTRIES = 2**24
 
@@ -150,49 +163,88 @@ def population_correlation(loadings) -> CorrelationMatrix:
     return CorrelationMatrix(sigma)
 
 
+def _block_reps(p: int) -> int:
+    # Replications per block for p indicators: at least one.
+    return max(1, _BLOCK_ELEMENTS // (p * p))
+
+
+class _Workspace:
+    # Flat float64 buffers that every block of a run_simulation call views:
+    # the triangular factor T, the normals below its diagonal, a = L T (which,
+    # once R is formed, holds the residual) and R.  Each block's arrays are
+    # views of their leading elements, filled with out=, so no block allocates
+    # an array of its own size.  Each buffer holds ``elements`` float64: reps
+    # replications of p indicators fit where reps * p * p does not exceed it.
+    # T stays zero above the diagonal for the p of the cell that last set it
+    # up with ``for_p``.
+    def __init__(self, elements: int) -> None:
+        self.t, self.normals, self.a, self.r = (np.empty(elements) for _ in range(4))
+
+    def for_p(self, p: int) -> tuple[np.ndarray, np.ndarray]:
+        # Zero T for a cell of p indicators; its blocks write only the strict
+        # lower triangle and the diagonal.  Returns T's triangle indices.
+        self.t.fill(0.0)
+        return np.nonzero(np.tri(p, k=-1, dtype=bool))  # np.tril_indices(p, -1), 4x faster
+
+    def views(self, reps: int, p: int) -> tuple[np.ndarray, ...]:
+        # T, the normals, a and R of one block of reps replications.
+        square = reps * p * p
+        return (
+            self.t[:square].reshape(reps, p, p),
+            self.normals[: reps * (p * (p - 1) // 2)].reshape(reps, -1),
+            self.a[:square].reshape(reps, p, p),
+            self.r[:square].reshape(reps, p, p),
+        )
+
+
 def _bartlett_correlations(
     chol: np.ndarray,
     n: int,
-    t: np.ndarray,
+    views: tuple[np.ndarray, ...],
     lower: tuple[np.ndarray, np.ndarray],
     normals: np.random.Generator,
     chisq: np.random.Generator,
 ) -> np.ndarray:
     # Bartlett's decomposition: the scatter matrix of n cases is
-    # Wishart_{n-1}(L L'), drawn exactly as L T T' L' with T lower triangular,
-    # sqrt(chi2(n-1-i)) on the diagonal and N(0, 1) below it.  Each generator
-    # is read in replication order, so successive calls continue one stream.
-    # t is a (reps, p, p) buffer, C-contiguous and zero above the diagonal;
-    # only its strict lower triangle (the indices in lower) and its diagonal
-    # are written, so one buffer serves every block of a cell.
+    # Wishart_{n-1}(L L'), drawn exactly as a a' with a = L T, T lower
+    # triangular, sqrt(chi2(n-1-i)) on the diagonal and N(0, 1) below it.
+    # Each generator is read in replication order, so successive calls
+    # continue one stream.  views are a block's T, normals, a and R (see
+    # _Workspace); T is zero above the diagonal, and only its strict lower
+    # triangle (the indices in lower) and its diagonal are written.  Each row
+    # of a is scaled to unit length, so a a' is the correlation matrix R
+    # itself; its diagonal is written as exactly 1.  R is returned, a view of
+    # the workspace.
+    t, z, a, r = views
     reps, p = t.shape[0], chol.shape[0]
-    rows, cols = lower
-    t[:, rows, cols] = normals.standard_normal((reps, rows.size))
+    normals.standard_normal(out=z)
+    t[:, lower[0], lower[1]] = z
     diagonal = t.reshape(reps, p * p)[:, :: p + 1]  # a view, as t is contiguous
     np.sqrt(chisq.chisquare(n - 1 - np.arange(p), size=(reps, p)), out=diagonal)
-    a = chol @ t
-    scatter = a @ a.transpose(0, 2, 1)
-    d = np.diagonal(scatter, axis1=1, axis2=2)
-    # a is spent: it takes sqrt(d_i d_j), and scatter is divided by it in place.
-    # einsum's outer product is one multiply per entry, as broadcasting is,
-    # but it does not run a separate inner loop for each row of p.
-    np.einsum("ri,rj->rij", d, d, out=a)
-    np.sqrt(a, out=a)
-    return np.divide(scatter, a, out=scatter)
+    np.matmul(chol, t, out=a)
+    scale = np.einsum("rij,rij->ri", a, a)  # the scatter's diagonal
+    np.divide(1.0, np.sqrt(scale, out=scale), out=scale)
+    np.multiply(a, scale[:, :, None], out=a)
+    np.matmul(a, a.transpose(0, 2, 1), out=r)
+    r.reshape(reps, p * p)[:, :: p + 1] = 1.0
+    return r
 
 
-def _unit_srmr(corr: np.ndarray) -> np.ndarray:
+def _unit_srmr(corr: np.ndarray, resid: np.ndarray | None = None) -> np.ndarray:
     # SRMR of the single unit-weighted scale for each matrix of a (reps, p, p)
-    # stack.  The implied matrix is c c' / s with c = R 1 and s = 1'R 1.  A
-    # matrix whose scale variance s fails the Cholesky pivot check, or whose
-    # value is not finite, gets NaN: these are the cases where
-    # score_model_implied_sigma or CorrelationMatrix raises.  corr is not
-    # modified; the residual is built and squared in one (reps, p, p) array.
-    c = corr.sum(axis=2)
-    s = c.sum(axis=1)
+    # stack.  The implied matrix is c c' / s = u u' with c = R 1, s = 1'R 1 and
+    # u = c / sqrt(s).  A matrix whose scale variance s fails the Cholesky
+    # pivot check, or whose value is not finite, gets NaN: these are the cases
+    # where score_model_implied_sigma or CorrelationMatrix raises.  corr is not
+    # modified; the residual R - u u' is built and squared in resid, a
+    # (reps, p, p) buffer (a new one by default).
+    # einsum, because a reduce over the short last axis is slow: corr.sum(axis=2)
+    # took 2-3x as long, and c.sum(axis=1) twice as long at p = 6.
+    c = np.einsum("rij->ri", corr)
+    s = np.einsum("ri->r", c)
     with np.errstate(divide="ignore", invalid="ignore"):
-        resid = np.einsum("ri,rj->rij", c, c)
-        np.divide(resid, s[:, None, None], out=resid)
+        u = np.divide(c, np.sqrt(s)[:, None], out=c)
+        resid = np.einsum("ri,rj->rij", u, u, out=resid)
         np.subtract(corr, resid, out=resid)
         values = _srmr_from_squares(np.multiply(resid, resid, out=resid))
     values[~(s > PIVOT_TOL) | ~np.isfinite(values)] = np.nan
@@ -215,8 +267,8 @@ def sample_correlation(loadings, n: int, rng: np.random.Generator) -> Correlatio
     if n < p + 1:
         raise ValidationError(f"need n >= p + 1 = {p + 1}, got n={n}")
     chol = cholesky_lower(population_correlation(lam).values)
-    t = np.zeros((1, p, p))
-    corr = _bartlett_correlations(chol, n, t, np.tril_indices(p, -1), rng, rng)
+    work = _Workspace(p * p)
+    corr = _bartlett_correlations(chol, n, work.views(1, p), work.for_p(p), rng, rng)
     return CorrelationMatrix(corr[0])
 
 
@@ -225,35 +277,49 @@ def _cell_generators(
 ) -> tuple[np.random.Generator, np.random.Generator]:
     # One stream per cell, keyed by the cell parameters themselves (the loading
     # by its exact bit pattern), so it does not depend on which other cells
-    # run.  Its two children feed the normals and the chi-square draws.
+    # run.  Its two children feed the normals and the chi-square draws.  They
+    # are built directly with the spawn keys that
+    # SeedSequence(seed, spawn_key=key).spawn(2) gives them, so they are the
+    # same streams without the parent.
     key = (
         int(pattern is LoadingPattern.VARIABLE),
         int(n),
         int(p),
         int(np.float64(l).view(np.uint64)),
     )
-    normals, chisq = np.random.SeedSequence(seed, spawn_key=key).spawn(2)
-    return np.random.default_rng(normals), np.random.default_rng(chisq)
+    return tuple(
+        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key + (child,)))
+        for child in (0, 1)
+    )
 
 
-def _replication_srmrs(config: SimulationConfig, chol: np.ndarray, n: int, l: float) -> np.ndarray:
+def _replication_srmrs(
+    config: SimulationConfig,
+    chol: np.ndarray,
+    n: int,
+    l: float,
+    work: _Workspace | None = None,
+) -> np.ndarray:
     # Unit-weighted SRMR of each replication of one cell in order, NaN where
     # one is dropped; chol is the Cholesky factor of the cell's population.
     # Blocks bound memory; they read the cell's two streams in sequence, so the
     # values do not depend on the block size, and raising the replication
-    # count extends the sequence without changing its start.  The T buffer and
-    # its triangle indices are made once; a short last block takes a slice.
+    # count extends the sequence without changing its start.  Every block
+    # works in views of work (a new workspace by default); a short last block
+    # takes shorter views.
     p = chol.shape[0]
     normals, chisq = _cell_generators(config.seed, config.loading_pattern, n, l, p)
     reps = config.replications
-    block = max(1, _BLOCK_ELEMENTS // (p * p))
-    t = np.zeros((min(block, reps), p, p))
-    lower = np.tril_indices(p, -1)
+    block = _block_reps(p)
+    if work is None:
+        work = _Workspace(min(block, reps) * p * p)
+    lower = work.for_p(p)
     values = np.empty(reps)
     for start in range(0, reps, block):
         stop = min(start + block, reps)
-        corr = _bartlett_correlations(chol, n, t[: stop - start], lower, normals, chisq)
-        values[start:stop] = _unit_srmr(corr)
+        views = work.views(stop - start, p)
+        corr = _bartlett_correlations(chol, n, views, lower, normals, chisq)
+        values[start:stop] = _unit_srmr(corr, views[2])  # a is spent: it takes the residual
     return values
 
 
@@ -271,10 +337,17 @@ def _population(l: float, p: int, pattern: LoadingPattern) -> tuple[float, np.nd
 
 
 def _run_cell(
-    config: SimulationConfig, n: int, l: float, p: int, population_srmr: float, chol: np.ndarray
+    config: SimulationConfig,
+    work: _Workspace,
+    n: int,
+    l: float,
+    p: int,
+    population_srmr: float,
+    chol: np.ndarray,
 ) -> SimulationCell:
-    values = _replication_srmrs(config, chol, n, l)
-    values = values[~np.isnan(values)]  # dropped replications: see replications_used
+    values = _replication_srmrs(config, chol, n, l, work)
+    if np.isnan(values).any():  # dropped replications: see replications_used
+        values = values[~np.isnan(values)]
     if values.size:
         mean, sd = float(values.mean()), float(values.std())
     else:
@@ -304,8 +377,12 @@ def run_simulation(config: SimulationConfig) -> list[SimulationCell]:
         key: _population(*key, config.loading_pattern)
         for key in dict.fromkeys(product(config.mean_loadings, config.indicator_counts))
     }
+    # One workspace for every cell: the largest block of any p.
+    work = _Workspace(
+        max(min(_block_reps(p), config.replications) * p * p for p in config.indicator_counts)
+    )
     return [
-        _run_cell(config, n, l, p, *populations[l, p])
+        _run_cell(config, work, n, l, p, *populations[l, p])
         for n in config.sample_sizes
         for l in config.mean_loadings
         for p in config.indicator_counts

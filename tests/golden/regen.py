@@ -111,6 +111,9 @@ _ONCE = {
     "closed-form-solve-r-unattainable": ["closed-form", "--solve-r", "5", "--p", "6"],
     "closed-form-min-p-beyond-2-53": ["closed-form", "--min-p", "1e-300", "--r", "0.1"],
     "closed-form-min-p-r-1": ["closed-form", "--min-p", "0.09", "--r", "1.0"],
+    # Targets that are not finite: refused, and the message says why.
+    "closed-form-min-p-inf": ["closed-form", "--min-p", "inf", "--r", "0.5"],
+    "closed-form-solve-r-nan": ["closed-form", "--solve-r", "nan", "--p", "10"],
     "closed-form-curve-without-range": ["closed-form", "--curve", "0.1"],
     "closed-form-curve-unread-r": [
         "closed-form", "--curve", "0.06", "--p-range", "4:6", "--r", "0.5",

@@ -724,6 +724,20 @@ class TestClosedFormCommand:
         assert captured.err.startswith("scorefit: error:")
 
 
+    @pytest.mark.parametrize("target", ["inf", "-inf", "nan", "0"])
+    @pytest.mark.parametrize("argv, flag", [
+        (["--solve-r={}", "--p", "10"], "target SRMR"),
+        (["--min-p={}", "--r", "0.5"], "target SRMR"),
+        (["--curve=0.1,{}", "--p-range", "4:6"], "SRMR levels"),
+    ])
+    def test_target_that_is_not_positive_and_finite_is_an_error(self, capsys, target, argv, flag):
+        assert main(["closed-form", *(a.format(target) for a in argv)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"scorefit: error: {flag} must be positive and finite, got {float(target)!r}\n"
+        )
+
 class TestSimulateCommand:
     ARGS = ["simulate", "--n", "150", "--l", "0.4", "--p", "6", "--reps", "25", "--seed", "9"]
     HEADER = "n,l,r,p,pattern,population_srmr,mean_srmr_s,sd_srmr_s,replications_used"

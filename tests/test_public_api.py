@@ -13,7 +13,7 @@ import scorefit
 
 ROOT = Path(__file__).resolve().parents[1]
 
-VERSION = "0.7.0"
+VERSION = "0.8.0"
 
 PUBLIC_NAMES = [
     "CorrelationMatrix",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -37,13 +39,59 @@ def population_chol(l, p, pattern=LoadingPattern.CONSTANT):
 
 def draw(chol, n, reps, normals, chisq):
     p = chol.shape[0]
-    t = np.zeros((reps, p, p))
-    return simulation._bartlett_correlations(chol, n, t, np.tril_indices(p, -1), normals, chisq)
+    work = simulation._Workspace(reps * p * p)
+    return simulation._bartlett_correlations(
+        chol, n, work.views(reps, p), work.for_p(p), normals, chisq
+    )
 
 
-# The kernels as they were before they reused the T buffer and wrote in
-# place: the new ones must reproduce them bit for bit.
+# The kernels with fresh arrays for every step and no workspace: the ones that
+# write into views of a reused workspace must reproduce them bit for bit.
 def oracle_bartlett_correlations(chol, n, reps, normals, chisq):
+    p = chol.shape[0]
+    rows, cols = np.tril_indices(p, -1)
+    diag = np.arange(p)
+    t = np.zeros((reps, p, p))
+    t[:, rows, cols] = normals.standard_normal((reps, rows.size))
+    t[:, diag, diag] = np.sqrt(chisq.chisquare(n - 1 - diag, size=(reps, p)))
+    a = chol @ t
+    a = a * (1.0 / np.sqrt(np.einsum("rij,rij->ri", a, a)))[:, :, None]
+    corr = a @ a.transpose(0, 2, 1)
+    corr[:, diag, diag] = 1.0
+    return corr
+
+
+def oracle_srmr(resid):
+    p = resid.shape[-1]
+    diag = np.diagonal(resid, axis1=-2, axis2=-1)
+    total = (resid * resid).sum(axis=(-2, -1)) + (diag * diag).sum(axis=-1)
+    return np.sqrt(total / (p * (p + 1)))
+
+
+def oracle_unit_srmr(corr):
+    c = np.einsum("rij->ri", corr)
+    s = np.einsum("ri->r", c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = c / np.sqrt(s)[:, None]
+        values = oracle_srmr(corr - u[:, :, None] * u[:, None, :])
+    values[~(s > PIVOT_TOL) | ~np.isfinite(values)] = np.nan
+    return values
+
+
+# The textbook forms the kernels replace: R = W / sqrt(d d') from the scatter
+# W = a a' with diagonal d, and the implied matrix c c' / s.  The kernels
+# round differently, so they are held to these bounds: entries of R (all in
+# [-1, 1]) within TEXTBOOK_R_ATOL, and each SRMR within TEXTBOOK_SRMR_RTOL of
+# its value plus TEXTBOOK_SRMR_ATOL (for residuals that cancel to rounding
+# noise).  Over both patterns, l up to .99, p up to 24 and n from p + 1 to 900
+# the worst seen were 1.6e-15 in R, 2.6e-16 absolute in the SRMR and 2.2e-14
+# relative where the SRMR exceeds .01.
+TEXTBOOK_R_ATOL = 1e-14
+TEXTBOOK_SRMR_RTOL = 1e-12
+TEXTBOOK_SRMR_ATOL = 1e-15
+
+
+def textbook_bartlett_correlations(chol, n, reps, normals, chisq):
     p = chol.shape[0]
     rows, cols = np.tril_indices(p, -1)
     diag = np.arange(p)
@@ -56,20 +104,19 @@ def oracle_bartlett_correlations(chol, n, reps, normals, chisq):
     return scatter / np.sqrt(d[:, :, None] * d[:, None, :])
 
 
-def oracle_srmr(resid):
-    p = resid.shape[-1]
-    diag = np.diagonal(resid, axis1=-2, axis2=-1)
-    total = (resid * resid).sum(axis=(-2, -1)) + (diag * diag).sum(axis=-1)
-    return np.sqrt(total / (p * (p + 1)))
-
-
-def oracle_unit_srmr(corr):
+def textbook_unit_srmr(corr):
     c = corr.sum(axis=2)
     s = c.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         values = oracle_srmr(corr - c[:, :, None] * c[:, None, :] / s[:, None, None])
     values[~(s > PIVOT_TOL) | ~np.isfinite(values)] = np.nan
     return values
+
+
+def assert_near_textbook_srmr(values, expected):
+    np.testing.assert_allclose(
+        values, expected, rtol=TEXTBOOK_SRMR_RTOL, atol=TEXTBOOK_SRMR_ATOL, equal_nan=True
+    )
 
 
 class TestPopulationLoadings:
@@ -139,9 +186,12 @@ class TestSampleCorrelation:
     def test_matches_the_oracle_bit_for_bit(self, p):
         lam = np.linspace(0.1, 0.9, p)
         chol = cholesky_lower(population_correlation(lam).values)
+        values = sample_correlation(lam, p + 5, rng_for(100 + p)).values
         rng = rng_for(100 + p)
-        expected = oracle_bartlett_correlations(chol, p + 5, 1, rng, rng)[0]
-        assert np.array_equal(sample_correlation(lam, p + 5, rng_for(100 + p)).values, expected)
+        assert np.array_equal(values, oracle_bartlett_correlations(chol, p + 5, 1, rng, rng)[0])
+        rng = rng_for(100 + p)
+        textbook = textbook_bartlett_correlations(chol, p + 5, 1, rng, rng)[0]
+        np.testing.assert_allclose(values, textbook, rtol=0, atol=TEXTBOOK_R_ATOL)
 
     def test_too_small_sample_rejected(self):
         with pytest.raises(ValidationError):
@@ -212,12 +262,11 @@ class TestReplicationKernel:
 
     @pytest.mark.parametrize("p", [2, 6, 12, 24])
     def test_blocks_match_the_oracle_bit_for_bit(self, p):
-        # One reused T buffer, sliced for a short last block, against the
-        # oracle's fresh arrays: 1 replication, a full block, a full block + 1
-        # and a half-full last block.
+        # One reused workspace, with shorter views for a short last block,
+        # against the oracle's fresh arrays: 1 replication, a full block, a
+        # full block + 1 and a half-full last block.
         chol = population_chol(0.5, p, LoadingPattern.VARIABLE)
         block = max(1, simulation._BLOCK_ELEMENTS // (p * p))
-        lower = np.tril_indices(p, -1)
         for reps in (1, block, block + 1, 2 * block + block // 2):
             config = SimulationConfig(
                 sample_sizes=(150,), mean_loadings=(0.5,), indicator_counts=(p,),
@@ -225,15 +274,24 @@ class TestReplicationKernel:
             )
             new = simulation._cell_generators(13, LoadingPattern.CONSTANT, 150, 0.5, p)
             old = simulation._cell_generators(13, LoadingPattern.CONSTANT, 150, 0.5, p)
-            t = np.zeros((min(block, reps), p, p))
+            textbook = simulation._cell_generators(13, LoadingPattern.CONSTANT, 150, 0.5, p)
+            work = simulation._Workspace(min(block, reps) * p * p)
+            lower = work.for_p(p)
             expected = []
             for start in range(0, reps, block):
                 size = min(block, reps - start)
-                corr = simulation._bartlett_correlations(chol, 150, t[:size], lower, *new)
+                t, _, a, _ = views = work.views(size, p)
+                corr = simulation._bartlett_correlations(chol, 150, views, lower, *new)
                 reference = oracle_bartlett_correlations(chol, 150, size, *old)
                 assert np.array_equal(corr, reference)
+                assert np.array_equal(corr, corr.transpose(0, 2, 1))
+                assert (np.diagonal(corr, axis1=1, axis2=2) == 1.0).all()
                 expected.append(oracle_unit_srmr(reference))
-                assert np.array_equal(simulation._unit_srmr(corr), expected[-1], equal_nan=True)
+                values = simulation._unit_srmr(corr, a)
+                assert np.array_equal(values, expected[-1], equal_nan=True)
+                direct = textbook_bartlett_correlations(chol, 150, size, *textbook)
+                np.testing.assert_allclose(corr, direct, rtol=0, atol=TEXTBOOK_R_ATOL)
+                assert_near_textbook_srmr(values, textbook_unit_srmr(direct))
                 # Only the strict lower triangle and the diagonal are written.
                 assert np.array_equal(np.triu(t, 1), np.zeros_like(t))
             assert np.array_equal(
@@ -251,9 +309,12 @@ class TestReplicationKernel:
             [[1.0, 0.3, -0.2], [0.3, 1.0, 0.6], [-0.2, 0.6, 1.0]],
         ])
         before = stack.copy()
-        values = simulation._unit_srmr(stack)
-        assert np.array_equal(values, oracle_unit_srmr(stack), equal_nan=True)
+        expected = oracle_unit_srmr(stack)
+        assert np.array_equal(simulation._unit_srmr(stack), expected, equal_nan=True)
+        resid = np.empty_like(stack)
+        assert np.array_equal(simulation._unit_srmr(stack, resid), expected, equal_nan=True)
         assert np.array_equal(stack, before, equal_nan=True)
+        assert_near_textbook_srmr(expected, textbook_unit_srmr(stack))
 
     def test_undefined_replications_are_nan(self):
         valid = np.eye(3)
@@ -285,6 +346,73 @@ class TestReplicationKernel:
         expected = simulation._replication_srmrs(config, chol, 150, 0.6)
         monkeypatch.setattr(simulation, "_BLOCK_ELEMENTS", elements)
         assert np.array_equal(simulation._replication_srmrs(config, chol, 150, 0.6), expected)
+
+    @pytest.mark.parametrize(
+        "seed, pattern, n, l, p",
+        [
+            (0, LoadingPattern.CONSTANT, 150, 0.2, 6),
+            (1234, LoadingPattern.VARIABLE, 900, 0.8, 24),
+            (2**64 - 1, LoadingPattern.CONSTANT, 2**63, 0.9999999, 2),
+        ],
+    )
+    def test_cell_streams_are_the_spawned_children(self, seed, pattern, n, l, p):
+        key = (int(pattern is LoadingPattern.VARIABLE), n, p, int(np.float64(l).view(np.uint64)))
+        children = np.random.SeedSequence(seed, spawn_key=key).spawn(2)
+        for generator, child in zip(simulation._cell_generators(seed, pattern, n, l, p), children):
+            expected = np.random.default_rng(child).bit_generator.state
+            assert generator.bit_generator.state == expected
+            assert np.array_equal(
+                generator.bit_generator.seed_seq.generate_state(8), child.generate_state(8)
+            )
+
+    def test_blocks_work_in_the_calls_one_workspace(self, monkeypatch):
+        # A p = 24 cell of three blocks next to a one-block p = 6 cell: every
+        # block's R and residual are views of the one workspace of the call.
+        made, scored = [], []
+
+        class Recorded(simulation._Workspace):
+            def __init__(self, elements):
+                super().__init__(elements)
+                made.append(self)
+
+        kernel = simulation._unit_srmr
+
+        def unit_srmr(corr, resid=None):
+            scored.append((corr, resid))
+            return kernel(corr, resid)
+
+        monkeypatch.setattr(simulation, "_Workspace", Recorded)
+        monkeypatch.setattr(simulation, "_unit_srmr", unit_srmr)
+        config = SimulationConfig(
+            sample_sizes=(150,), mean_loadings=(0.4,), indicator_counts=(6, 24),
+            replications=2 * simulation._BLOCK_ELEMENTS // (24 * 24) + 5,
+        )
+        run_simulation(config)
+        assert len(made) == 1
+        blocks = [(corr, resid) for corr, resid in scored if resid is not None]
+        assert [corr.shape[-1] for corr, _ in blocks] == [6, 24, 24, 24]
+        for corr, resid in blocks:
+            assert np.shares_memory(corr, made[0].r)
+            assert np.shares_memory(resid, made[0].a)
+
+    def test_a_block_allocates_no_array_of_its_size(self):
+        p = 24
+        block = simulation._BLOCK_ELEMENTS // (p * p)
+        config = SimulationConfig(
+            sample_sizes=(150,), mean_loadings=(0.4,), indicator_counts=(p,),
+            replications=3 * block,
+        )
+        chol = population_chol(0.4, p)
+        work = simulation._Workspace(block * p * p)
+        expected = simulation._replication_srmrs(config, chol, 150, 0.4, work)
+        tracemalloc.start()
+        try:
+            values = simulation._replication_srmrs(config, chol, 150, 0.4, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(values, expected)
+        assert peak < block * p * p * 8
 
     def test_nearby_loadings_get_different_streams(self):
         # The loading is keyed by its exact bits; 1e-4 rounding merged these two.
@@ -412,6 +540,32 @@ class TestRunSimulation:
         assert len(first) == 36 and len(calls) == 12
         assert run_simulation(config) == first
         assert len(calls) == 24
+
+    @pytest.mark.parametrize("dropped", [0, 1, 2**19])
+    def test_a_cell_copies_its_values_only_when_some_were_dropped(self, monkeypatch, dropped):
+        # The mean and SD are those of the kept values.  When nothing was
+        # dropped, the SD's temporary (8 B per replication) is all the cell
+        # allocates beyond the values themselves: no mask and no copy is kept.
+        reps = 2**20
+        values = np.full(reps, 0.125)
+        values[1::2] = 0.375
+        values[:dropped] = np.nan
+        kept = values[~np.isnan(values)]
+        monkeypatch.setattr(simulation, "_replication_srmrs", lambda *args: values)
+        config = SimulationConfig(
+            sample_sizes=(150,), mean_loadings=(0.4,), indicator_counts=(6,), replications=reps
+        )
+        tracemalloc.start()
+        try:
+            cell = simulation._run_cell(config, None, 150, 0.4, 6, 0.0, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cell.replications_used == reps - dropped
+        assert cell.mean_srmr_s == float(kept.mean())
+        assert cell.sd_srmr_s == float(kept.std())
+        if not dropped:
+            assert 0.99 < peak / (8 * reps) < 1.01
 
     def test_single_replication_has_zero_sd(self):
         cells = run_simulation(
