@@ -35,7 +35,6 @@ from .model import (
 )
 from .report import OutputFormat, ReportDocument
 from .scoring import (
-    ScoreWeights,
     bartlett_weights,
     fs_implied_sigma,
     regression_weights,
@@ -51,7 +50,7 @@ from .simulation import (
     sample_correlation,
 )
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 __all__ = [
     "CorrelationMatrix",
@@ -65,7 +64,6 @@ __all__ = [
     "OutputFormat",
     "ReportDocument",
     "RequiredRCurve",
-    "ScoreWeights",
     "ScorefitError",
     "SimulationCell",
     "SimulationConfig",

@@ -18,6 +18,7 @@ import warnings
 from pathlib import Path
 
 from . import datasets
+from ._numpy import np
 from .errors import ScorefitError, SingularMatrixError, ValidationError
 from .fileio import parse_loadings, parse_matrix
 from .fit import (
@@ -29,7 +30,7 @@ from .fit import (
 )
 from .model import FactorModel, cholesky_lower, factor_implied_sigma
 from .report import OutputFormat, ReportDocument
-from .scoring import ScoreWeights, fs_implied_sigma, score_model_implied_sigma
+from .scoring import fs_implied_sigma, score_model_implied_sigma
 from .simulation import LoadingPattern, SimulationConfig, run_simulation
 
 
@@ -201,7 +202,10 @@ def _cmd_fit_check(args) -> ReportDocument:
     if args.reflective and loadings is None:
         raise ValidationError("--reflective requires loadings")
 
-    models = [("unit_weighted", score_model_implied_sigma, (sigma, ScoreWeights.unit(sigma.p)))]
+    # The unit-weighted scale adds the items up, each with a negative loading
+    # reversed (weight -1); without loadings every weight is +1.
+    unit = np.ones(sigma.p) if loadings is None else np.where(loadings < 0, -1.0, 1.0)
+    models = [("unit_weighted", score_model_implied_sigma, (sigma, unit))]
     fits, found = [], []
     if loadings is None:
         # No model inverts Sigma, so factor it here to note a non-PD matrix.

@@ -298,21 +298,19 @@ def _replication_srmrs(
     chol: np.ndarray,
     n: int,
     l: float,
-    work: _Workspace | None = None,
+    work: _Workspace,
 ) -> np.ndarray:
     # Unit-weighted SRMR of each replication of one cell in order, NaN where
     # one is dropped; chol is the Cholesky factor of the cell's population.
     # Blocks bound memory; they read the cell's two streams in sequence, so the
     # values do not depend on the block size, and raising the replication
     # count extends the sequence without changing its start.  Every block
-    # works in views of work (a new workspace by default); a short last block
-    # takes shorter views.
+    # works in views of work, which must hold min(block, reps) replications of
+    # p indicators; a short last block takes shorter views.
     p = chol.shape[0]
     normals, chisq = _cell_generators(config.seed, config.loading_pattern, n, l, p)
     reps = config.replications
     block = _block_reps(p)
-    if work is None:
-        work = _Workspace(min(block, reps) * p * p)
     lower = work.for_p(p)
     values = np.empty(reps)
     for start in range(0, reps, block):

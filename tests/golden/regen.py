@@ -108,6 +108,12 @@ _ONCE = {
     "fit-check-reflective-without-loadings": [
         "fit-check", "--matrix", "ones.txt", "--reflective",
     ],
+    # STAI with items 1, 4 and 7 (0-based) reverse-keyed: D Sigma D and D lambda.
+    # The unit-weighted scale follows the loading signs, so every SRMR is the demo's.
+    "fit-check-stai-reflected": [
+        "fit-check", "--matrix", "stai_reflected.txt", "--loadings", "stai_reflected_loadings.txt",
+        "--reflective",
+    ],
     "closed-form-solve-r-unattainable": ["closed-form", "--solve-r", "5", "--p", "6"],
     "closed-form-min-p-beyond-2-53": ["closed-form", "--min-p", "1e-300", "--r", "0.1"],
     "closed-form-min-p-r-1": ["closed-form", "--min-p", "0.09", "--r", "1.0"],

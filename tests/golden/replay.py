@@ -4,7 +4,8 @@
 This script runs each one as its own interpreter, from ``inputs/`` and with
 ``src/`` first on the child's path, as a user's shell would: it sees what an
 in-process call cannot, such as a warning that ends in a traceback under
-``PYTHONWARNINGS=error::RuntimeWarning``, which every child runs with.  Each
+``PYTHONWARNINGS=error::RuntimeWarning,error::DeprecationWarning``, which
+every child runs with, so a deprecated numpy call fails its golden too.  Each
 result is compared with its golden by ``regen.mismatch``, as in Tier-1.
 
 Usage, from anywhere::
@@ -26,7 +27,11 @@ import regen
 
 def replay(argv: list[str]) -> dict:
     """Run one command in a new interpreter from ``inputs/``; its argv, exit status and output."""
-    env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning", PYTHONIOENCODING="utf-8")
+    env = dict(
+        os.environ,
+        PYTHONWARNINGS="error::RuntimeWarning,error::DeprecationWarning",
+        PYTHONIOENCODING="utf-8",
+    )
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(regen.SRC), env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-m", "scorefit.cli", *argv],

@@ -14,7 +14,6 @@ import pytest
 from scorefit import (
     CorrelationMatrix,
     FactorModel,
-    ScoreWeights,
     bartlett_weights,
     build_parallel_sigma,
     factor_implied_sigma,
@@ -73,7 +72,7 @@ def test_oracle_equivalence_of_pipeline_and_closed_form():
     for r in (0.0, 0.04, 0.16, 0.36, 0.64, 0.9):
         for p in (2, 6, 12, 24, 60):
             sigma = build_parallel_sigma(r, p)
-            implied = score_model_implied_sigma(sigma, ScoreWeights.unit(p))
+            implied = score_model_implied_sigma(sigma, np.ones(p))
             pipeline = srmr(sigma, implied).srmr
             worst = max(worst, abs(pipeline - srmr_parallel_closed_form(r, p)))
     _verdict(
@@ -84,7 +83,7 @@ def test_oracle_equivalence_of_pipeline_and_closed_form():
 
 
 def test_empirical_example_goldens(stai_sigma, stai_lam):
-    unit = srmr(stai_sigma, score_model_implied_sigma(stai_sigma, ScoreWeights.unit(20))).srmr
+    unit = srmr(stai_sigma, score_model_implied_sigma(stai_sigma, np.ones(20))).srmr
     model = FactorModel.from_standardized_loadings(stai_lam)
     factor_score = srmr(stai_sigma, fs_implied_sigma(stai_sigma, model)).srmr
     ok = abs(unit - 0.197) <= 0.001 and abs(factor_score - 0.198) <= 0.001
@@ -163,7 +162,7 @@ def test_estimator_invariance_on_random_models():
             np.abs(direct - via_reg).max(),
             np.abs(direct - via_bart).max(),
         )
-        worst_unbias = max(worst_unbias, np.abs(bart.values.T @ model.loadings - np.eye(q)).max())
+        worst_unbias = max(worst_unbias, np.abs(bart.T @ model.loadings - np.eye(q)).max())
     ok = worst_gap < 1e-8 and worst_unbias < 1e-8
     _verdict(
         "estimator invariance on 50 random models (regression = Bartlett = direct, tol 1e-8)",

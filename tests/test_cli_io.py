@@ -307,6 +307,34 @@ class TestFitCheckCommand:
         # Recomputed through the elementwise oracle: sqrt(0.24).
         assert doc["fits"][0]["srmr"] == pytest.approx(math.sqrt(0.24), abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "loadings, weights",
+        [
+            ("0.6\n-0.5\n0.4\n", [1.0, -1.0, 1.0]),
+            ("0.6\n0.0\n-0.0\n", [1.0, 1.0, 1.0]),
+            (None, [1.0, 1.0, 1.0]),
+        ],
+        ids=["negative-loading", "zero-loadings", "no-loadings"],
+    )
+    def test_unit_weights_follow_the_loading_signs(self, tmp_path, capsys, loadings, weights):
+        # -1 where a loading is negative, +1 elsewhere (0 and -0 included);
+        # all +1 without loadings.
+        from scorefit import score_model_implied_sigma, srmr
+
+        matrix = tmp_path / "m.txt"
+        matrix.write_text("1.0\n0.3 1.0\n-0.2 0.25 1.0\n")
+        argv = ["fit-check", "--matrix", str(matrix), "--residuals", "--format", "json"]
+        if loadings is not None:
+            (tmp_path / "l.txt").write_text(loadings)
+            argv += ["--loadings", str(tmp_path / "l.txt")]
+        assert main(argv) == 0
+        fit = json.loads(capsys.readouterr().out)["fits"][0]
+        sigma = parse_matrix(matrix)
+        expected = srmr(sigma, score_model_implied_sigma(sigma, weights))
+        assert fit["model"] == "unit_weighted"
+        assert fit["srmr"] == expected.srmr
+        assert np.array_equal(np.array(fit["residuals"]), expected.residuals)
+
     def test_missing_matrix_path_fails_on_stderr(self, capsys):
         assert main(["fit-check", "--matrix", "/no/such/file.txt"]) == 1
         captured = capsys.readouterr()
@@ -574,13 +602,13 @@ class TestFitCheckCommand:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_csv_round_trip_recovers_numbers(self, capsys, stai_sigma):
-        from scorefit import ScoreWeights, score_model_implied_sigma, srmr
+        from scorefit import score_model_implied_sigma, srmr
 
         assert main(["fit-check", "--demo", "stai", "--residuals", "--format", "csv"]) == 0
         lines = [l for l in capsys.readouterr().out.splitlines() if l and not l.startswith("#")]
         rows = [line.split(",") for line in lines[1:]]
         srmr_rows = {r[1]: float(r[4]) for r in rows if r[0] == "srmr"}
-        expected = srmr(stai_sigma, score_model_implied_sigma(stai_sigma, ScoreWeights.unit(20)))
+        expected = srmr(stai_sigma, score_model_implied_sigma(stai_sigma, np.ones(20)))
         assert abs(srmr_rows["unit_weighted"] - expected.srmr) < 5e-7
         resid = {(int(r[2]), int(r[3])): float(r[4]) for r in rows if r[0] == "residual" and r[1] == "unit_weighted"}
         assert len(resid) == 400

@@ -10,7 +10,6 @@ from scorefit import (
     DimensionError,
     FitReport,
     NoSolutionError,
-    ScoreWeights,
     ValidationError,
     build_parallel_sigma,
     min_p_for_srmr,
@@ -27,7 +26,7 @@ from scorefit.fit import _srmr_from_squares
 def pipeline_srmr(r, p):
     """Elementwise route: equicorrelation matrix -> projection -> residual RMS."""
     sigma = build_parallel_sigma(r, p)
-    implied = score_model_implied_sigma(sigma, ScoreWeights.unit(p))
+    implied = score_model_implied_sigma(sigma, np.ones(p))
     return srmr(sigma, implied)
 
 

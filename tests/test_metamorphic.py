@@ -36,7 +36,8 @@ def _fit_check(folder: Path, sigma: np.ndarray, loadings: np.ndarray) -> dict:
 
 @st.composite
 def _one_factor_with_noise(draw):
-    """A correlation matrix near a one-factor population, its loadings and a permutation."""
+    """A correlation matrix near a one-factor population, its loadings, a
+    permutation and the diagonal of a reflection (each entry +1 or -1)."""
     p = draw(st.integers(2, 8))
     lam = np.array(draw(st.lists(st.floats(0.1, 0.9), min_size=p, max_size=p)))
     noise = np.zeros((p, p))
@@ -46,7 +47,9 @@ def _one_factor_with_noise(draw):
     sigma = np.outer(lam, lam) + noise + noise.T
     np.fill_diagonal(sigma, 1.0)
     assume(np.linalg.eigvalsh(sigma)[0] >= 0.05)
-    return sigma, lam, np.array(draw(st.permutations(range(p))))
+    perm = np.array(draw(st.permutations(range(p))))
+    signs = np.array(draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=p, max_size=p)))
+    return sigma, lam, perm, signs
 
 
 @settings(derandomize=True, max_examples=50, deadline=None)
@@ -54,7 +57,7 @@ def _one_factor_with_noise(draw):
 def test_permuting_indicators_permutes_every_report(case):
     # P Sigma P' with P lambda is the same data with the items reordered: every
     # model's SRMR is unchanged and its residual matrix is P R P'.
-    sigma, lam, perm = case
+    sigma, lam, perm, _ = case
     with tempfile.TemporaryDirectory() as folder:
         before = _fit_check(Path(folder), sigma, lam)
         after = _fit_check(Path(folder), sigma[np.ix_(perm, perm)], lam[perm])
@@ -64,4 +67,24 @@ def test_permuting_indicators_permutes_every_report(case):
         assert math.isclose(permuted_value, value, rel_tol=1e-12, abs_tol=1e-15), model
         np.testing.assert_allclose(
             permuted_residuals, residuals[np.ix_(perm, perm)], rtol=1e-12, atol=1e-14, err_msg=model
+        )
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(case=_one_factor_with_noise())
+def test_reflecting_indicators_reflects_every_report(case):
+    # D Sigma D with D lambda is the same data with some items reverse-keyed:
+    # the unit-weighted scale reverses them too, so every model's SRMR is
+    # unchanged and its residual matrix is D R D.
+    sigma, lam, _, signs = case
+    with tempfile.TemporaryDirectory() as folder:
+        before = _fit_check(Path(folder), sigma, lam)
+        after = _fit_check(Path(folder), sigma * np.outer(signs, signs), lam * signs)
+    assert list(after) == ["unit_weighted", "factor_score", "reflective"]
+    for model, (value, residuals) in before.items():
+        reflected_value, reflected_residuals = after[model]
+        assert math.isclose(reflected_value, value, rel_tol=1e-12, abs_tol=1e-15), model
+        np.testing.assert_allclose(
+            reflected_residuals, residuals * np.outer(signs, signs), rtol=1e-12, atol=1e-14,
+            err_msg=model,
         )

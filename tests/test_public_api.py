@@ -13,7 +13,7 @@ import scorefit
 
 ROOT = Path(__file__).resolve().parents[1]
 
-VERSION = "0.8.0"
+VERSION = "0.9.0"
 
 PUBLIC_NAMES = [
     "CorrelationMatrix",
@@ -27,7 +27,6 @@ PUBLIC_NAMES = [
     "OutputFormat",
     "ReportDocument",
     "RequiredRCurve",
-    "ScoreWeights",
     "ScorefitError",
     "SimulationCell",
     "SimulationConfig",

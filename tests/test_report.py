@@ -22,7 +22,6 @@ from scorefit import (
     FactorModel,
     FitReport,
     RequiredRCurve,
-    ScoreWeights,
     factor_implied_sigma,
     fs_implied_sigma,
     score_model_implied_sigma,
@@ -65,7 +64,7 @@ def _bitwise_symmetric(resid: np.ndarray) -> bool:
 
 def _stai_fits(sigma, lam):
     model = FactorModel.from_standardized_loadings(lam)
-    unit = score_model_implied_sigma(sigma, ScoreWeights.unit(sigma.p))
+    unit = score_model_implied_sigma(sigma, np.ones(sigma.p))
     return (
         ("unit_weighted", srmr(sigma, unit)),
         ("factor_score", srmr(sigma, fs_implied_sigma(sigma, model))),
@@ -150,7 +149,7 @@ class TestEntryTexts:
         for p in (2, 7, 40):
             data = np.random.default_rng(p).standard_normal((p, 3 * p))
             sigma = CorrelationMatrix(np.corrcoef(data))
-            report = srmr(sigma, score_model_implied_sigma(sigma, ScoreWeights.unit(p)))
+            report = srmr(sigma, score_model_implied_sigma(sigma, np.ones(p)))
             assert _bitwise_symmetric(report.residuals)
 
 

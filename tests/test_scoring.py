@@ -6,7 +6,6 @@ from scorefit import (
     DimensionError,
     FactorModel,
     NearSingularMatrixWarning,
-    ScoreWeights,
     SingularMatrixError,
     ValidationError,
     bartlett_weights,
@@ -24,40 +23,23 @@ def one_factor_parallel(l, p):
     return sigma, model
 
 
-class TestScoreWeights:
-    def test_unit_weights(self):
-        w = ScoreWeights.unit(5)
-        assert np.array_equal(w.values, np.ones((5, 1)))
-
-    def test_estimated_weights_must_be_finite(self):
-        with pytest.raises(ValidationError):
-            ScoreWeights([[np.inf], [1.0]])
-
-    def test_one_dim_weights_become_column(self):
-        assert ScoreWeights([0.5, 1.0, 2.0]).values.shape == (3, 1)
-
-    def test_rejects_three_dim_weights(self):
-        with pytest.raises(DimensionError, match="^weights must be 1-d or 2-d, got ndim=3$"):
-            ScoreWeights(np.ones((3, 1, 1)))
-
-
 class TestRegressionWeights:
     @pytest.mark.parametrize("l,p", [(0.3, 4), (0.6, 6), (0.8, 12)])
     def test_parallel_closed_form(self, l, p):
         # For equal loadings l the weights collapse to l / (1 + (p-1) l^2).
         sigma, model = one_factor_parallel(l, p)
         w = regression_weights(sigma, model)
-        assert np.allclose(w.values, l / (1 + (p - 1) * l * l), atol=1e-12)
+        assert np.allclose(w, l / (1 + (p - 1) * l * l), atol=1e-12)
 
     def test_identity_everything(self):
         sigma = CorrelationMatrix(np.eye(3))
         model = FactorModel(np.eye(3), np.eye(3), np.full(3, 0.5))
-        assert np.allclose(regression_weights(sigma, model).values, np.eye(3))
+        assert np.allclose(regression_weights(sigma, model), np.eye(3))
 
     def test_stai_downstream_matches_fs_route(self, stai_sigma, stai_lam):
         model = FactorModel.from_standardized_loadings(stai_lam)
         w = regression_weights(stai_sigma, model)
-        assert w.values.shape == (20, 1)
+        assert w.shape == (20, 1)
         via_weights = score_model_implied_sigma(stai_sigma, w)
         direct = fs_implied_sigma(stai_sigma, model)
         assert np.abs(via_weights.values - direct.values).max() < 1e-8
@@ -72,13 +54,13 @@ class TestRegressionWeights:
 class TestBartlettWeights:
     def test_identity_model(self):
         model = FactorModel(np.eye(3), np.eye(3), np.ones(3))
-        assert np.allclose(bartlett_weights(model).values, np.eye(3))
+        assert np.allclose(bartlett_weights(model), np.eye(3))
 
     @pytest.mark.parametrize("l,p", [(0.4, 4), (0.6, 6), (0.8, 10)])
     def test_parallel_closed_form(self, l, p):
         _, model = one_factor_parallel(l, p)
         w = bartlett_weights(model)
-        assert np.allclose(w.values, 1.0 / (p * l), atol=1e-12)
+        assert np.allclose(w, 1.0 / (p * l), atol=1e-12)
 
     def test_unbiasedness_identity(self):
         rng = np.random.default_rng(11)
@@ -89,7 +71,7 @@ class TestBartlettWeights:
             lam[np.arange(q), np.arange(q)] = 0.7  # keep full column rank
             model = FactorModel(lam, np.eye(q), rng.uniform(0.2, 1.0, size=p))
             w = bartlett_weights(model)
-            assert np.abs(w.values.T @ model.loadings - np.eye(q)).max() < 1e-8
+            assert np.abs(w.T @ model.loadings - np.eye(q)).max() < 1e-8
 
 
 class TestFsImpliedSigma:
@@ -126,7 +108,7 @@ class TestLargeCovariance:
     @pytest.mark.parametrize("scale", [1e4, 1e6, 1e8, 1e12])
     def test_unit_weighted_scale_at_any_scale(self, scale):
         sigma = CorrelationMatrix(population_correlation(self.LOADINGS).values * scale)
-        implied = score_model_implied_sigma(sigma, ScoreWeights.unit(30))
+        implied = score_model_implied_sigma(sigma, np.ones(30))
         bits = implied.values.view(np.uint64)
         assert np.array_equal(bits, bits.T)
         cross = sigma.values.sum(axis=1)  # Sigma 1
@@ -145,41 +127,57 @@ class TestScoreModelImpliedSigma:
     @pytest.mark.parametrize("r,p", [(0.0, 3), (0.36, 6), (0.64, 24)])
     def test_parallel_unit_weights_closed_form(self, r, p):
         sigma = build_parallel_sigma(r, p)
-        implied = score_model_implied_sigma(sigma, ScoreWeights.unit(p))
+        implied = score_model_implied_sigma(sigma, np.ones(p))
         assert np.allclose(implied.values, np.full((p, p), r + (1 - r) / p), atol=1e-13)
 
     def test_weight_rows_must_match_the_matrix(self, stai_sigma):
         with pytest.raises(DimensionError, match="^weight matrix has 19 rows but the matrix has 20$"):
-            score_model_implied_sigma(stai_sigma, ScoreWeights.unit(19))
+            score_model_implied_sigma(stai_sigma, np.ones(19))
+
+    def test_weights_must_be_finite(self, stai_sigma):
+        weights = np.ones(20)
+        weights[3] = np.inf
+        with pytest.raises(ValidationError, match="^weights contain non-finite entries$"):
+            score_model_implied_sigma(stai_sigma, weights)
+
+    def test_rejects_three_dim_weights(self, stai_sigma):
+        with pytest.raises(DimensionError, match="^weights must be 1-d or 2-d, got ndim=3$"):
+            score_model_implied_sigma(stai_sigma, np.ones((20, 1, 1)))
+
+    def test_a_list_a_vector_and_a_column_give_the_same_bits(self, stai_sigma):
+        weights = [0.5, -1.0, 2.0] + [1.0] * 17
+        as_list, as_vector, as_column = (
+            score_model_implied_sigma(stai_sigma, w).values.view(np.uint64)
+            for w in (weights, np.array(weights), np.array(weights)[:, None])
+        )
+        assert np.array_equal(as_vector, as_list)
+        assert np.array_equal(as_column, as_list)
 
     def test_single_indicator_returns_sigma(self):
         sigma = CorrelationMatrix([[2.5]])
-        implied = score_model_implied_sigma(sigma, ScoreWeights.unit(1))
+        implied = score_model_implied_sigma(sigma, np.ones(1))
         assert implied.values[0, 0] == pytest.approx(2.5, abs=1e-14)
 
     def test_projection_idempotence(self, stai_sigma):
-        w = ScoreWeights.unit(20)
+        w = np.ones(20)
         once = score_model_implied_sigma(stai_sigma, w)
         twice = score_model_implied_sigma(once, w)
         assert np.abs(once.values - twice.values).max() < 1e-8
 
     def test_invariant_to_weight_rescaling(self, stai_sigma):
-        base = score_model_implied_sigma(stai_sigma, ScoreWeights.unit(20))
-        scaled = ScoreWeights(np.full((20, 1), -3.7))
-        other = score_model_implied_sigma(stai_sigma, scaled)
+        base = score_model_implied_sigma(stai_sigma, np.ones(20))
+        other = score_model_implied_sigma(stai_sigma, np.full((20, 1), -3.7))
         assert np.abs(base.values - other.values).max() < 1e-10
 
     def test_collinear_scales_raise(self, stai_sigma):
-        w = ScoreWeights(np.ones((20, 2)))  # identical scales
         with pytest.raises(SingularMatrixError):
-            score_model_implied_sigma(stai_sigma, w)
+            score_model_implied_sigma(stai_sigma, np.ones((20, 2)))  # identical scales
 
     def test_nearly_collinear_scales_warn(self, stai_sigma):
         values = np.ones((20, 2))
         values[0, 1] = 1.0 + 2e-5
-        w = ScoreWeights(values)
         with pytest.warns(NearSingularMatrixWarning):
-            score_model_implied_sigma(stai_sigma, w)
+            score_model_implied_sigma(stai_sigma, values)
 
     def test_residual_diag_nonnegative(self):
         rng = np.random.default_rng(3)
@@ -187,7 +185,7 @@ class TestScoreModelImpliedSigma:
             p = int(rng.integers(2, 10))
             a = rng.normal(size=(p + 3, p))
             sigma = CorrelationMatrix(a.T @ a / (p + 3) + 0.2 * np.eye(p))
-            implied = score_model_implied_sigma(sigma, ScoreWeights.unit(p))
+            implied = score_model_implied_sigma(sigma, np.ones(p))
             resid = sigma.values - implied.values
             assert np.diag(resid).min() >= -1e-10
             assert np.linalg.eigvalsh(resid).min() >= -1e-8

@@ -6,7 +6,6 @@ import pytest
 import scorefit.simulation as simulation
 from scorefit import (
     CorrelationMatrix,
-    ScoreWeights,
     ScorefitError,
     SingularMatrixError,
     ValidationError,
@@ -257,7 +256,7 @@ class TestReplicationKernel:
             batched = simulation._unit_srmr(stack)
             for values, value in zip(stack, batched):
                 sample = CorrelationMatrix(values)
-                implied = score_model_implied_sigma(sample, ScoreWeights.unit(p))
+                implied = score_model_implied_sigma(sample, np.ones(p))
                 assert abs(value - srmr(sample, implied).srmr) < 1e-12
 
     @pytest.mark.parametrize("p", [2, 6, 12, 24])
@@ -295,7 +294,7 @@ class TestReplicationKernel:
                 # Only the strict lower triangle and the diagonal are written.
                 assert np.array_equal(np.triu(t, 1), np.zeros_like(t))
             assert np.array_equal(
-                simulation._replication_srmrs(config, chol, 150, 0.5),
+                simulation._replication_srmrs(config, chol, 150, 0.5, work),
                 np.concatenate(expected),
                 equal_nan=True,
             )
@@ -332,9 +331,10 @@ class TestReplicationKernel:
         assert simulation._BLOCK_ELEMENTS // (24 * 24) < 40
         config = SimulationConfig(replications=40, seed=11)
         chol = population_chol(0.4, 24)
-        short = simulation._replication_srmrs(config, chol, 300, 0.4)
+        work = simulation._Workspace(simulation._BLOCK_ELEMENTS)  # one block of any p <= 128
+        short = simulation._replication_srmrs(config, chol, 300, 0.4, work)
         longer = simulation._replication_srmrs(
-            SimulationConfig(replications=100, seed=11), chol, 300, 0.4
+            SimulationConfig(replications=100, seed=11), chol, 300, 0.4, work
         )
         assert short.shape == (40,)
         assert np.array_equal(short, longer[:40])
@@ -343,9 +343,10 @@ class TestReplicationKernel:
     def test_block_size_does_not_change_values(self, monkeypatch, elements):
         config = SimulationConfig(replications=60, seed=12)
         chol = population_chol(0.6, 12)
-        expected = simulation._replication_srmrs(config, chol, 150, 0.6)
+        work = simulation._Workspace(60 * 12 * 12)  # every replication in one block
+        expected = simulation._replication_srmrs(config, chol, 150, 0.6, work)
         monkeypatch.setattr(simulation, "_BLOCK_ELEMENTS", elements)
-        assert np.array_equal(simulation._replication_srmrs(config, chol, 150, 0.6), expected)
+        assert np.array_equal(simulation._replication_srmrs(config, chol, 150, 0.6, work), expected)
 
     @pytest.mark.parametrize(
         "seed, pattern, n, l, p",
@@ -500,7 +501,7 @@ class TestRunSimulation:
         )
         for c in run_simulation(config):
             population = population_correlation(population_loadings(c.l, c.p, pattern))
-            implied = score_model_implied_sigma(population, ScoreWeights.unit(c.p))
+            implied = score_model_implied_sigma(population, np.ones(c.p))
             expected = srmr(population, implied).srmr
             assert abs(c.population_srmr - expected) <= 1e-15 * expected
 
