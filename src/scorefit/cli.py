@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import datasets
 from ._numpy import np
-from .errors import ScorefitError, SingularMatrixError, ValidationError
+from .errors import NearSingularMatrixWarning, ScorefitError, SingularMatrixError, ValidationError
 from .fileio import parse_loadings, parse_matrix
 from .fit import (
     min_p_for_srmr,
@@ -31,7 +31,7 @@ from .fit import (
 from .model import FactorModel, cholesky_lower, factor_implied_sigma
 from .report import OutputFormat, ReportDocument
 from .scoring import fs_implied_sigma, score_model_implied_sigma
-from .simulation import LoadingPattern, SimulationConfig, run_simulation
+from .simulation import SAMPLER, LoadingPattern, SimulationConfig, run_simulation
 
 
 @functools.cache
@@ -231,9 +231,16 @@ def _cmd_fit_check(args) -> ReportDocument:
         except ScorefitError as exc:
             # Name the model: a non-PD matrix fails only the models that invert it.
             # The exception keeps its class and attributes (such as pivot_index).
+            # The warnings that led up to it are dropped.
             exc.args = (f"{label} model: {exc}",) + exc.args[1:]
             raise
-        found.extend((label, str(w.message)) for w in caught)
+        # A near-singular pivot is a report line, whatever the caller's filters;
+        # any other warning is re-emitted to those filters.
+        for w in caught:
+            if issubclass(w.category, NearSingularMatrixWarning):
+                found.append((label, str(w.message)))
+            else:
+                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
 
     return ReportDocument(
         inputs=tuple(inputs),
@@ -314,6 +321,7 @@ def _cmd_simulate(args) -> ReportDocument:
         ("pattern", args.pattern),
         ("replications", str(args.reps)),
         ("seed", str(args.seed)),
+        ("sampler", SAMPLER),
     )
     return ReportDocument(inputs=inputs, cells=tuple(cells))
 

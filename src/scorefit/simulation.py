@@ -4,11 +4,29 @@ For each (sample size, mean loading, scale length) cell, sample correlation
 matrices of n cases from a one-factor population (constant or variable
 loadings) are drawn through Bartlett's decomposition of the Wishart scatter
 matrix, and the SRMR of the single unit-weighted scale is computed for a whole
-block of replications at once.  The population SRMR of a cell comes from the
-same kernel, applied to the population matrix alone.  Each cell owns a random
-stream derived from the master seed and the cell parameters, read in
-replication order, so results are identical no matter which subset of cells a
-config requests, and raising the replication count only appends replications.
+block of replications at once.  The population SRMR of a cell is that of the
+projection pipeline, ``srmr(P, score_model_implied_sigma(P, 1))``, on the
+exact population matrix P.
+
+Random streams are keyed by what the drawn numbers' distribution depends on
+(sampler ``bartlett-wishart/2``).  Bartlett's triangular factor T has N(0, 1)
+entries below its diagonal, which depend on p alone, and sqrt(chi2(n-1-i)) on
+it, which depend on (n, p).  So each (pattern, p) owns one normals stream, and
+each (pattern, n, p) one chi-square stream, both derived from the master seed;
+the loading is not part of any key.  Replications run in blocks sized by p
+alone: each block fills T's lower triangle once from the normals stream, writes
+its diagonal once per n from that n's chi-square stream, and every loading
+reuses that T through its own Cholesky factor L.  Each cell still gets exactly
+the Wishart draws it would get from streams of its own, but cells that share
+p (and, for the diagonal, n) share their draws: their errors are correlated.
+These are common random numbers, which make differences between cells across
+l and n more precise than independent streams would.
+
+A cell reads its two streams from the start, in replication order, so results
+are identical no matter which subset of cells a config requests, and raising
+the replication count only appends replications.  A cell keeps no value per
+replication: each block's values are folded into a running (count, mean, sum
+of squared deviations) with Chan, Golub and LeVeque's pairwise update.
 
 A block's correlation matrices are formed without dividing the scatter
 matrix: each row of the scaled triangular factor a = L T is scaled to unit
@@ -17,10 +35,10 @@ exactly 1.  The implied matrix of the unit-weighted scale is u u' with
 u = R 1 / sqrt(1'R 1), and the residual R - u u' is formed entry by entry.
 
 Each distinct (l, p) population, its Cholesky factor and its population SRMR
-are built once per ``run_simulation`` call and shared by the cells of every n;
-nothing is kept between calls.  One workspace of flat buffers is allocated per
-call as well: every block of every cell draws, forms R and scores it in views
-of those buffers, so no block allocates an array of its own size.
+are built once per ``run_simulation`` call; nothing is kept between calls.  One
+workspace of flat buffers is allocated per call as well: every block draws,
+forms R and scores it in views of those buffers, so no block allocates an
+array of its own size.
 
 Cells run one after another on one thread.  The CLI accepts ``--workers`` for
 compatibility; it has no effect.
@@ -28,14 +46,20 @@ compatibility; it has no effect.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
 
 from ._numpy import np
 from .errors import ScorefitError, ValidationError
-from .fit import _srmr_from_squares
+from .fit import _srmr_from_squares, srmr
 from .model import PIVOT_TOL, CorrelationMatrix, cholesky_lower
+from .scoring import score_model_implied_sigma
+
+# The sampler and its version, echoed in ``simulate`` reports.  /1 was one
+# pair of streams per cell (up to 0.9.0); /2 keys the streams by p and (n, p).
+SAMPLER = "bartlett-wishart/2"
 
 # Replications per block are sized so that one block's (reps, p, p) arrays hold
 # about this many elements each: 128 KiB of float64, so the workspace's four
@@ -46,16 +70,17 @@ from .model import PIVOT_TOL, CorrelationMatrix, cholesky_lower
 # faults of a call grow with it: one benchmark sim-grid call (200 replications,
 # after the CLI's malloc_trim) took about 225 minor faults at 2**14, 450 at
 # 2**15 and 900 at 2**16, and 12,700 when the same buffers were allocated per
-# block instead of per call (getrusage ru_minflt).
+# block instead of per call (getrusage ru_minflt).  The blocks also fix the
+# order in which a cell's values are folded, so the size is part of the output.
 _BLOCK_ELEMENTS = 2**14
 
-# Caps on one config, checked before anything is allocated, so that no request
-# needs much more than 1 GiB.  A cell keeps one float64 per replication, and its
-# SD takes a temporary of the same size; only a cell that dropped replications
-# first copies the ones it kept: 2**26 replications peak at 1 GiB, or 1.1 GiB
-# with drops.  Every distinct (l, p) population keeps its p x p Cholesky factor
-# for the whole call, and the workspace holds four more p x p arrays at most:
-# 2**24 entries in all (p = 4096 alone) peak at 0.63 GiB.
+# Caps on one config, checked before anything is allocated.  Memory does not
+# grow with the replications, so their cap bounds run time: 2**26 replications
+# of the default grid, both patterns, would take about four hours (0.2 s per
+# 1000 on a 2-vCPU Xeon VM, one BLAS thread).  Every distinct (l, p) population
+# keeps its p x p Cholesky factor for the whole call, and the workspace holds
+# four more p x p arrays at most: 2**24 entries in all (p = 4096 alone) peak at
+# 0.63 GiB.
 MAX_REPLICATIONS = 2**26
 MAX_POPULATION_ENTRIES = 2**24
 
@@ -175,14 +200,14 @@ class _Workspace:
     # views of their leading elements, filled with out=, so no block allocates
     # an array of its own size.  Each buffer holds ``elements`` float64: reps
     # replications of p indicators fit where reps * p * p does not exceed it.
-    # T stays zero above the diagonal for the p of the cell that last set it
-    # up with ``for_p``.
+    # T stays zero above the diagonal for the p it was last set up for with
+    # ``for_p``.
     def __init__(self, elements: int) -> None:
         self.t, self.normals, self.a, self.r = (np.empty(elements) for _ in range(4))
 
     def for_p(self, p: int) -> tuple[np.ndarray, np.ndarray]:
-        # Zero T for a cell of p indicators; its blocks write only the strict
-        # lower triangle and the diagonal.  Returns T's triangle indices.
+        # Zero T for blocks of p indicators, which write only its strict lower
+        # triangle and its diagonal.  Returns T's triangle indices.
         self.t.fill(0.0)
         return np.nonzero(np.tri(p, k=-1, dtype=bool))  # np.tril_indices(p, -1), 4x faster
 
@@ -197,30 +222,31 @@ class _Workspace:
         )
 
 
-def _bartlett_correlations(
-    chol: np.ndarray,
-    n: int,
-    views: tuple[np.ndarray, ...],
-    lower: tuple[np.ndarray, np.ndarray],
-    normals: np.random.Generator,
-    chisq: np.random.Generator,
-) -> np.ndarray:
-    # Bartlett's decomposition: the scatter matrix of n cases is
-    # Wishart_{n-1}(L L'), drawn exactly as a a' with a = L T, T lower
-    # triangular, sqrt(chi2(n-1-i)) on the diagonal and N(0, 1) below it.
-    # Each generator is read in replication order, so successive calls
-    # continue one stream.  views are a block's T, normals, a and R (see
-    # _Workspace); T is zero above the diagonal, and only its strict lower
-    # triangle (the indices in lower) and its diagonal are written.  Each row
-    # of a is scaled to unit length, so a a' is the correlation matrix R
-    # itself; its diagonal is written as exactly 1.  R is returned, a view of
-    # the workspace.
-    t, z, a, r = views
-    reps, p = t.shape[0], chol.shape[0]
+# Bartlett's decomposition: the scatter matrix of n cases is Wishart_{n-1}(L L'),
+# drawn exactly as a a' with a = L T, T lower triangular, N(0, 1) below its
+# diagonal and sqrt(chi2(n-1-i)) on it.  The two draws below fill a block's T
+# (a view of the workspace, zero above its diagonal) in replication order, so
+# successive blocks continue one stream.
+
+
+def _draw_lower(t: np.ndarray, z: np.ndarray, lower, normals: np.random.Generator) -> None:
+    # T's strict lower triangle (the indices in lower), through the normals view z.
     normals.standard_normal(out=z)
     t[:, lower[0], lower[1]] = z
+
+
+def _draw_diagonal(t: np.ndarray, n: int, chisq: np.random.Generator) -> None:
+    reps, p = t.shape[0], t.shape[1]
     diagonal = t.reshape(reps, p * p)[:, :: p + 1]  # a view, as t is contiguous
     np.sqrt(chisq.chisquare(n - 1 - np.arange(p), size=(reps, p)), out=diagonal)
+
+
+def _correlations(chol: np.ndarray, t: np.ndarray, a: np.ndarray, r: np.ndarray) -> np.ndarray:
+    # The correlation matrices of a block's scatter matrices a a', a = L T,
+    # formed in the workspace views a and R; T is not modified.  Each row of a
+    # is scaled to unit length, so a a' is R itself; its diagonal is written
+    # as exactly 1.  R is returned.
+    reps, p = t.shape[0], t.shape[1]
     np.matmul(chol, t, out=a)
     scale = np.einsum("rij,rij->ri", a, a)  # the scatter's diagonal
     np.divide(1.0, np.sqrt(scale, out=scale), out=scale)
@@ -268,119 +294,109 @@ def sample_correlation(loadings, n: int, rng: np.random.Generator) -> Correlatio
         raise ValidationError(f"need n >= p + 1 = {p + 1}, got n={n}")
     chol = cholesky_lower(population_correlation(lam).values)
     work = _Workspace(p * p)
-    corr = _bartlett_correlations(chol, n, work.views(1, p), work.for_p(p), rng, rng)
-    return CorrelationMatrix(corr[0])
-
-
-def _cell_generators(
-    seed: int, pattern: LoadingPattern, n: int, l: float, p: int
-) -> tuple[np.random.Generator, np.random.Generator]:
-    # One stream per cell, keyed by the cell parameters themselves (the loading
-    # by its exact bit pattern), so it does not depend on which other cells
-    # run.  Its two children feed the normals and the chi-square draws.  They
-    # are built directly with the spawn keys that
-    # SeedSequence(seed, spawn_key=key).spawn(2) gives them, so they are the
-    # same streams without the parent.
-    key = (
-        int(pattern is LoadingPattern.VARIABLE),
-        int(n),
-        int(p),
-        int(np.float64(l).view(np.uint64)),
-    )
-    return tuple(
-        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key + (child,)))
-        for child in (0, 1)
-    )
-
-
-def _replication_srmrs(
-    config: SimulationConfig,
-    chol: np.ndarray,
-    n: int,
-    l: float,
-    work: _Workspace,
-) -> np.ndarray:
-    # Unit-weighted SRMR of each replication of one cell in order, NaN where
-    # one is dropped; chol is the Cholesky factor of the cell's population.
-    # Blocks bound memory; they read the cell's two streams in sequence, so the
-    # values do not depend on the block size, and raising the replication
-    # count extends the sequence without changing its start.  Every block
-    # works in views of work, which must hold min(block, reps) replications of
-    # p indicators; a short last block takes shorter views.
-    p = chol.shape[0]
-    normals, chisq = _cell_generators(config.seed, config.loading_pattern, n, l, p)
-    reps = config.replications
-    block = _block_reps(p)
     lower = work.for_p(p)
-    values = np.empty(reps)
-    for start in range(0, reps, block):
-        stop = min(start + block, reps)
-        views = work.views(stop - start, p)
-        corr = _bartlett_correlations(chol, n, views, lower, normals, chisq)
-        values[start:stop] = _unit_srmr(corr, views[2])  # a is spent: it takes the residual
-    return values
+    t, z, a, r = work.views(1, p)
+    _draw_lower(t, z, lower, rng)
+    _draw_diagonal(t, n, rng)
+    return CorrelationMatrix(_correlations(chol, t, a, r)[0])
+
+
+def _stream(seed: int, *key: int) -> np.random.Generator:
+    # The stream SeedSequence(seed, spawn_key=key) seeds.  Keys are
+    # (0, pattern, p) for T's normals and (1, pattern, n, p) for its diagonal,
+    # the pattern as 0 (constant) or 1 (variable): a stream does not depend on
+    # which other cells run, nor on the loading.
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
 def _population(l: float, p: int, pattern: LoadingPattern) -> tuple[float, np.ndarray]:
-    # Population SRMR and Cholesky factor of one (l, p) population.  The
-    # population is scored by the replications' kernel, as a stack of one.
-    population = population_correlation(population_loadings(l, p, pattern)).values
+    # Population SRMR and Cholesky factor of one (l, p) population.  The SRMR
+    # is the library pipeline's: the replications' kernel forms R - u u',
+    # which cancels as l nears 1 (3e-10 relative at l = 0.9999999).
+    population = population_correlation(population_loadings(l, p, pattern))
     try:
-        chol = cholesky_lower(population)
+        chol = cholesky_lower(population.values)
     except ScorefitError as exc:
         # Name the population; the exception keeps its class and attributes.
         exc.args = (f"population l={l!r}, p={p}, {pattern.value} pattern: {exc}",) + exc.args[1:]
         raise
-    return float(_unit_srmr(population[None])[0]), chol
+    return srmr(population, score_model_implied_sigma(population, np.ones(p))).srmr, chol
 
 
-def _run_cell(
-    config: SimulationConfig,
-    work: _Workspace,
-    n: int,
-    l: float,
-    p: int,
-    population_srmr: float,
-    chol: np.ndarray,
-) -> SimulationCell:
-    values = _replication_srmrs(config, chol, n, l, work)
-    if np.isnan(values).any():  # dropped replications: see replications_used
-        values = values[~np.isnan(values)]
-    if values.size:
-        mean, sd = float(values.mean()), float(values.std())
-    else:
-        mean = sd = float("nan")
-    return SimulationCell(
-        n=n,
-        l=l,
-        p=p,
-        pattern=config.loading_pattern,
-        population_srmr=population_srmr,
-        mean_srmr_s=mean,
-        sd_srmr_s=sd,
-        replications_used=int(values.size),
-    )
+# A cell's running moments: (count, mean, M2), M2 the sum of squared deviations.
+_NO_VALUES = (0, 0.0, 0.0)
+
+
+def _fold(moments: tuple[int, float, float], values: np.ndarray) -> tuple[int, float, float]:
+    # Merge one block's values, less the dropped (NaN) ones, into a cell's
+    # running moments: Chan, Golub and LeVeque's pairwise update.
+    kept = values[~np.isnan(values)]
+    k = kept.size
+    if not k:
+        return moments
+    block_mean = float(kept.sum()) / k  # np.mean's value, without its overhead
+    deviations = kept - block_mean
+    block_m2 = float(deviations @ deviations)
+    count, mean, m2 = moments
+    if not count:
+        return k, block_mean, block_m2
+    total = count + k
+    delta = block_mean - mean
+    return total, mean + delta * k / total, m2 + block_m2 + delta * delta * count * k / total
 
 
 def run_simulation(config: SimulationConfig) -> list[SimulationCell]:
     """All design cells of the config, in (n, l, p) order, run on one thread.
 
-    Every cell has its own stream, so a cell's values do not depend on which
-    other cells the config requests.  Each distinct (l, p) population, its
-    Cholesky factor and its population SRMR are built once per call and shared
-    by the cells of every n; nothing is kept between calls.  The CLI's
-    ``--workers`` is accepted and has no effect.
+    Streams are keyed by (pattern, p) and (pattern, n, p), and a cell reads
+    them from the start, so a cell's values do not depend on which other
+    cells the config requests; cells that share p share their draws.  Each
+    distinct (l, p) population, its Cholesky factor and its population SRMR
+    are built once per call; nothing is kept between calls.  Memory does not
+    grow with the replication count.  The CLI's ``--workers`` is accepted and
+    has no effect.
     """
-    populations = {
-        key: _population(*key, config.loading_pattern)
-        for key in dict.fromkeys(product(config.mean_loadings, config.indicator_counts))
-    }
-    # One workspace for every cell: the largest block of any p.
-    work = _Workspace(
-        max(min(_block_reps(p), config.replications) * p * p for p in config.indicator_counts)
+    pattern = config.loading_pattern
+    ns, ls, ps = (
+        tuple(dict.fromkeys(axis))
+        for axis in (config.sample_sizes, config.mean_loadings, config.indicator_counts)
     )
+    populations = {key: _population(*key, pattern) for key in product(ls, ps)}
+    reps, kind = config.replications, int(pattern is LoadingPattern.VARIABLE)
+    # One workspace for every block: the largest block of any p.
+    work = _Workspace(max(min(_block_reps(p), reps) * p * p for p in ps))
+    moments = dict.fromkeys(product(ns, ls, ps), _NO_VALUES)
+    for p in ps:
+        lower = work.for_p(p)
+        normals = _stream(config.seed, 0, kind, p)
+        chisqs = {n: _stream(config.seed, 1, kind, n, p) for n in ns}
+        block = _block_reps(p)
+        for start in range(0, reps, block):
+            t, z, a, r = work.views(min(block, reps - start), p)
+            _draw_lower(t, z, lower, normals)
+            for n in ns:
+                _draw_diagonal(t, n, chisqs[n])
+                for l in ls:
+                    corr = _correlations(populations[l, p][1], t, a, r)
+                    values = _unit_srmr(corr, a)  # a is spent: it takes the residual
+                    moments[n, l, p] = _fold(moments[n, l, p], values)
+
+    def cell(n: int, l: float, p: int) -> SimulationCell:
+        count, mean, m2 = moments[n, l, p]
+        nan = float("nan")  # the mean and SD of a cell that dropped every replication
+        return SimulationCell(
+            n=n,
+            l=l,
+            p=p,
+            pattern=pattern,
+            population_srmr=populations[l, p][0],
+            mean_srmr_s=mean if count else nan,
+            sd_srmr_s=math.sqrt(m2 / count) if count else nan,
+            replications_used=count,
+        )
+
     return [
-        _run_cell(config, work, n, l, p, *populations[l, p])
+        cell(n, l, p)
         for n in config.sample_sizes
         for l in config.mean_loadings
         for p in config.indicator_counts

@@ -14,10 +14,11 @@ Usage, from the repository root::
 
     python tests/golden/regen.py
 
-rewrites every golden from the source in ``src/`` and deletes goldens whose
-command is no longer in the set.  ``--help`` and argparse usage errors (exit
-2) are left out: their text depends on the Python version and the terminal
-width.
+rewrites every golden from the source in ``src/``, deletes goldens whose
+command is no longer in the set, and prints ``moved <name>`` for each golden
+whose content changed (or that is new), then ``N of M moved``.  ``--help``
+and argparse usage errors (exit 2) are left out: their text depends on the
+Python version and the terminal width.
 """
 
 from __future__ import annotations
@@ -226,20 +227,29 @@ def mismatch(actual: dict, expected: dict) -> str | None:
     return None
 
 
-def _dump(path: Path, data: dict) -> None:
-    path.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
+def _dump(path: Path, data: dict) -> bool:
+    """Write data as JSON to path; whether that changed the file (a new file counts)."""
+    text = json.dumps(data, indent=1) + "\n"
+    moved = not path.exists() or path.read_text(encoding="utf-8") != text
+    path.write_text(text, encoding="utf-8")
+    return moved
 
 
 def regenerate() -> None:
+    """Rewrite every golden, printing ``moved <name>`` for each whose content changed."""
     for stale in set(GOLDEN_DIR.glob("*.json")) - {FINGERPRINT}:
         if stale.stem not in COMMANDS:
             stale.unlink()
+    moved = 0
     for name, argv in COMMANDS.items():
         result = run(argv)
         for stream in ("stdout", "stderr"):
             result[stream] = result[stream].splitlines(keepends=True)
-        _dump(GOLDEN_DIR / f"{name}.json", result)
+        if _dump(GOLDEN_DIR / f"{name}.json", result):
+            print(f"moved {name}")
+            moved += 1
     _dump(FINGERPRINT, fingerprint())
+    print(f"{moved} of {len(COMMANDS)} moved")
 
 
 if __name__ == "__main__":

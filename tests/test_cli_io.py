@@ -22,6 +22,7 @@ from scorefit import (
     build_parallel_sigma,
     parse_loadings,
     parse_matrix,
+    srmr_parallel_closed_form,
     write_matrix,
 )
 import scorefit.model
@@ -533,6 +534,46 @@ class TestFitCheckCommand:
             ],
         }
 
+    def test_only_a_near_singular_pivot_is_a_report_warning(self, capsys, monkeypatch):
+        # Any other warning raised while a model is scored, here a library's
+        # DeprecationWarning, goes to the caller's filters instead.
+        scored = cli.score_model_implied_sigma
+
+        def deprecated(sigma, weights):
+            warnings.warn("this call is deprecated", DeprecationWarning)
+            return scored(sigma, weights)
+
+        monkeypatch.setattr(cli, "score_model_implied_sigma", deprecated)
+        argv = ["fit-check", "--demo", "stai", "--format", "json"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 0
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (DeprecationWarning, "this call is deprecated")
+        ]
+        assert all(fit["warnings"] == [] for fit in json.loads(capsys.readouterr().out)["fits"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DeprecationWarning, match="this call is deprecated"):
+                main(argv)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("ignore")
+            assert main(argv) == 0
+        assert caught == []
+
+    def test_a_near_singular_pivot_is_reported_under_any_filter(self, tmp_path, capsys):
+        matrix = tmp_path / "near.txt"
+        matrix.write_text("1\n0.9999995 1\n0.5 0.5 1\n")
+        loadings = tmp_path / "l.txt"
+        loadings.write_text("0.6 0.6 0.5\n")
+        argv = ["fit-check", "--matrix", str(matrix), "--loadings", str(loadings), "--format", "json"]
+        for action in ("error", "ignore"):
+            with warnings.catch_warnings():
+                warnings.simplefilter(action)
+                assert main(argv) == 0
+            fits = json.loads(capsys.readouterr().out)["fits"]
+            assert [len(fit["warnings"]) for fit in fits] == [0, 1]
+
     @pytest.mark.parametrize("with_loadings", [False, True])
     def test_sigma_is_factored_once(self, tmp_path, capsys, monkeypatch, with_loadings):
         matrix, loadings = tmp_path / "m.txt", tmp_path / "l.txt"
@@ -828,16 +869,18 @@ class TestSimulateCommand:
         captured = capsys.readouterr()
         assert captured.err == ""
         lines = captured.out.splitlines()
-        assert lines[:7] == [
+        assert lines[:8] == [
             "# n=150", "# l=0.9999999", "# p=6", "# pattern=constant", "# replications=5",
-            "# seed=1234",
+            "# seed=1234", "# sampler=bartlett-wishart/2",
             "n,l,r,p,pattern,population_srmr,mean_srmr_s,sd_srmr_s,replications_used",
         ]
-        row = lines[7].split(",")
+        row = lines[8].split(",")
         assert row[:5] == ["150", "0.9999999", "0.9999998000000101", "6", "constant"]
-        assert row[8] == "5" and len(lines) == 8
+        assert row[8] == "5" and len(lines) == 9
+        # The population SRMR is the closed form's to the last bits.
+        assert float(row[5]) == pytest.approx(srmr_parallel_closed_form(0.9999999**2, 6), rel=1e-14)
         assert [float(v) for v in row[5:8]] == pytest.approx(
-            [9.343531371301923e-08, 9.804559432311211e-08, 1.4869044725579985e-08], rel=1e-6
+            [9.343531371301923e-08, 9.482614796539543e-08, 6.597497929348641e-09], rel=1e-6
         )
 
     @pytest.mark.parametrize("command, flag, text, message", [

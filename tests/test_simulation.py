@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -37,11 +38,56 @@ def population_chol(l, p, pattern=LoadingPattern.CONSTANT):
 
 
 def draw(chol, n, reps, normals, chisq):
+    # One block of reps replications through the kernels, in a workspace of its own.
     p = chol.shape[0]
     work = simulation._Workspace(reps * p * p)
-    return simulation._bartlett_correlations(
-        chol, n, work.views(reps, p), work.for_p(p), normals, chisq
+    lower = work.for_p(p)
+    t, z, a, r = work.views(reps, p)
+    simulation._draw_lower(t, z, lower, normals)
+    simulation._draw_diagonal(t, n, chisq)
+    return simulation._correlations(chol, t, a, r)
+
+
+def cell_streams(seed, pattern, n, p):
+    # A cell's normals and chi-square streams, built from their documented
+    # keys: (0, pattern, p) and (1, pattern, n, p), the pattern as 0 or 1.
+    kind = int(pattern is LoadingPattern.VARIABLE)
+    return tuple(
+        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+        for key in ((0, kind, p), (1, kind, n, p))
     )
+
+
+def oracle_cell_values(config, n, l, p):
+    # Every replication's SRMR of one cell in order, NaN where dropped, all in
+    # one oracle block: the kernel's blocks read the streams in the same order.
+    chol = population_chol(l, p, config.loading_pattern)
+    streams = cell_streams(config.seed, config.loading_pattern, n, p)
+    return oracle_unit_srmr(oracle_bartlett_correlations(chol, n, config.replications, *streams))
+
+
+def assert_moments(cell, values):
+    # The cell's count, mean and SD (ddof 0) are those of the values it kept.
+    kept = values[~np.isnan(values)]
+    assert cell.replications_used == kept.size
+    assert cell.mean_srmr_s == pytest.approx(np.mean(kept), rel=1e-13, abs=0)
+    assert cell.sd_srmr_s == pytest.approx(np.std(kept), rel=1e-13, abs=0)
+
+
+def record_unit_srmr(monkeypatch, drop=None):
+    # Every replication value run_simulation scores, in order: each call's
+    # values, after drop(values) marks some NaN if given, are appended.
+    record, kernel = [], simulation._unit_srmr
+
+    def unit_srmr(corr, resid=None):
+        values = kernel(corr, resid)
+        if drop is not None:
+            drop(values)
+        record.append(values.copy())
+        return values
+
+    monkeypatch.setattr(simulation, "_unit_srmr", unit_srmr)
+    return record
 
 
 # The kernels with fresh arrays for every step and no workspace: the ones that
@@ -261,43 +307,52 @@ class TestReplicationKernel:
 
     @pytest.mark.parametrize("p", [2, 6, 12, 24])
     def test_blocks_match_the_oracle_bit_for_bit(self, p):
-        # One reused workspace, with shorter views for a short last block,
-        # against the oracle's fresh arrays: 1 replication, a full block, a
-        # full block + 1 and a half-full last block.
-        chol = population_chol(0.5, p, LoadingPattern.VARIABLE)
-        block = max(1, simulation._BLOCK_ELEMENTS // (p * p))
+        # One reused workspace, with shorter views for a short last block, and
+        # T's diagonal rewritten for each n over one lower triangle, against
+        # the oracle's fresh arrays and streams of its own for each n: 1
+        # replication, a full block, a full block + 1 and a half-full last block.
+        pattern = LoadingPattern.VARIABLE
+        chol = population_chol(0.5, p, pattern)
+        block = simulation._block_reps(p)
+        sizes = (150, 900)
         for reps in (1, block, block + 1, 2 * block + block // 2):
-            config = SimulationConfig(
-                sample_sizes=(150,), mean_loadings=(0.5,), indicator_counts=(p,),
-                replications=reps, seed=13,
-            )
-            new = simulation._cell_generators(13, LoadingPattern.CONSTANT, 150, 0.5, p)
-            old = simulation._cell_generators(13, LoadingPattern.CONSTANT, 150, 0.5, p)
-            textbook = simulation._cell_generators(13, LoadingPattern.CONSTANT, 150, 0.5, p)
+            normals = cell_streams(13, pattern, 150, p)[0]
+            chisqs = {n: cell_streams(13, pattern, n, p)[1] for n in sizes}
+            oracle = {n: cell_streams(13, pattern, n, p) for n in sizes}
+            textbook = {n: cell_streams(13, pattern, n, p) for n in sizes}
             work = simulation._Workspace(min(block, reps) * p * p)
             lower = work.for_p(p)
-            expected = []
             for start in range(0, reps, block):
                 size = min(block, reps - start)
-                t, _, a, _ = views = work.views(size, p)
-                corr = simulation._bartlett_correlations(chol, 150, views, lower, *new)
-                reference = oracle_bartlett_correlations(chol, 150, size, *old)
-                assert np.array_equal(corr, reference)
-                assert np.array_equal(corr, corr.transpose(0, 2, 1))
-                assert (np.diagonal(corr, axis1=1, axis2=2) == 1.0).all()
-                expected.append(oracle_unit_srmr(reference))
-                values = simulation._unit_srmr(corr, a)
-                assert np.array_equal(values, expected[-1], equal_nan=True)
-                direct = textbook_bartlett_correlations(chol, 150, size, *textbook)
-                np.testing.assert_allclose(corr, direct, rtol=0, atol=TEXTBOOK_R_ATOL)
-                assert_near_textbook_srmr(values, textbook_unit_srmr(direct))
-                # Only the strict lower triangle and the diagonal are written.
-                assert np.array_equal(np.triu(t, 1), np.zeros_like(t))
-            assert np.array_equal(
-                simulation._replication_srmrs(config, chol, 150, 0.5, work),
-                np.concatenate(expected),
-                equal_nan=True,
-            )
+                t, z, a, r = work.views(size, p)
+                simulation._draw_lower(t, z, lower, normals)
+                for n in sizes:
+                    simulation._draw_diagonal(t, n, chisqs[n])
+                    corr = simulation._correlations(chol, t, a, r)
+                    reference = oracle_bartlett_correlations(chol, n, size, *oracle[n])
+                    assert np.array_equal(corr, reference)
+                    assert np.array_equal(corr, corr.transpose(0, 2, 1))
+                    assert (np.diagonal(corr, axis1=1, axis2=2) == 1.0).all()
+                    values = simulation._unit_srmr(corr, a)
+                    assert np.array_equal(values, oracle_unit_srmr(reference), equal_nan=True)
+                    direct = textbook_bartlett_correlations(chol, n, size, *textbook[n])
+                    np.testing.assert_allclose(corr, direct, rtol=0, atol=TEXTBOOK_R_ATOL)
+                    assert_near_textbook_srmr(values, textbook_unit_srmr(direct))
+                    # Only the strict lower triangle and the diagonal are written.
+                    assert np.array_equal(np.triu(t, 1), np.zeros_like(t))
+
+    @pytest.mark.parametrize("pattern", list(LoadingPattern))
+    def test_every_cell_matches_the_oracle(self, pattern):
+        # Two n, two l and two p, at a replication count that crosses p = 24's
+        # block boundaries: each cell's folded mean and SD are those of its
+        # oracle replications, drawn from the streams README documents.
+        config = SimulationConfig(
+            sample_sizes=(150, 900), mean_loadings=(0.4, 0.8), indicator_counts=(6, 24),
+            loading_pattern=pattern, replications=2 * simulation._block_reps(24) + 5,
+            seed=2**64 - 1,
+        )
+        for cell in run_simulation(config):
+            assert_moments(cell, oracle_cell_values(config, cell.n, cell.l, cell.p))
 
     def test_unit_srmr_matches_the_oracle_and_leaves_its_input(self):
         off = -0.5 + 1e-13
@@ -325,46 +380,72 @@ class TestReplicationKernel:
         assert np.isfinite(values[0])
         assert np.isnan(values[1:]).all()
 
-    def test_more_replications_extend_the_sequence(self):
+    def test_more_replications_extend_the_sequence(self, monkeypatch):
         # At p = 24 a block is shorter than 40 replications, so the prefix
         # crosses a block boundary in both runs.
-        assert simulation._BLOCK_ELEMENTS // (24 * 24) < 40
-        config = SimulationConfig(replications=40, seed=11)
-        chol = population_chol(0.4, 24)
-        work = simulation._Workspace(simulation._BLOCK_ELEMENTS)  # one block of any p <= 128
-        short = simulation._replication_srmrs(config, chol, 300, 0.4, work)
-        longer = simulation._replication_srmrs(
-            SimulationConfig(replications=100, seed=11), chol, 300, 0.4, work
-        )
+        assert simulation._block_reps(24) < 40
+        record = record_unit_srmr(monkeypatch)
+
+        def run(reps):
+            record.clear()
+            config = SimulationConfig(
+                sample_sizes=(300,), mean_loadings=(0.4,), indicator_counts=(24,),
+                replications=reps, seed=11,
+            )
+            return run_simulation(config)[0], np.concatenate(record)
+
+        short_cell, short = run(40)
+        _, longer = run(100)
         assert short.shape == (40,)
         assert np.array_equal(short, longer[:40])
+        assert_moments(short_cell, longer[:40])
 
     @pytest.mark.parametrize("elements", [1, 1000, 2**20])
     def test_block_size_does_not_change_values(self, monkeypatch, elements):
-        config = SimulationConfig(replications=60, seed=12)
-        chol = population_chol(0.6, 12)
-        work = simulation._Workspace(60 * 12 * 12)  # every replication in one block
-        expected = simulation._replication_srmrs(config, chol, 150, 0.6, work)
+        # The replications do not move; the moments, folded in other blocks,
+        # move by rounding at most.
+        config = SimulationConfig(
+            sample_sizes=(150,), mean_loadings=(0.6,), indicator_counts=(12,),
+            replications=60, seed=12,
+        )
+        record = record_unit_srmr(monkeypatch)
+        run_simulation(config)
+        expected = np.concatenate(record)
+        record.clear()
         monkeypatch.setattr(simulation, "_BLOCK_ELEMENTS", elements)
-        assert np.array_equal(simulation._replication_srmrs(config, chol, 150, 0.6, work), expected)
+        cell = run_simulation(config)[0]
+        assert np.array_equal(np.concatenate(record), expected)
+        assert_moments(cell, expected)
 
-    @pytest.mark.parametrize(
-        "seed, pattern, n, l, p",
-        [
-            (0, LoadingPattern.CONSTANT, 150, 0.2, 6),
-            (1234, LoadingPattern.VARIABLE, 900, 0.8, 24),
-            (2**64 - 1, LoadingPattern.CONSTANT, 2**63, 0.9999999, 2),
-        ],
-    )
-    def test_cell_streams_are_the_spawned_children(self, seed, pattern, n, l, p):
-        key = (int(pattern is LoadingPattern.VARIABLE), n, p, int(np.float64(l).view(np.uint64)))
-        children = np.random.SeedSequence(seed, spawn_key=key).spawn(2)
-        for generator, child in zip(simulation._cell_generators(seed, pattern, n, l, p), children):
-            expected = np.random.default_rng(child).bit_generator.state
-            assert generator.bit_generator.state == expected
-            assert np.array_equal(
-                generator.bit_generator.seed_seq.generate_state(8), child.generate_state(8)
-            )
+    def test_cells_that_share_p_share_their_draws(self, monkeypatch):
+        # T's normals are keyed by (pattern, p) and its diagonal by
+        # (pattern, n, p); the loading is in neither key.
+        seen, kernel = [], simulation._correlations
+
+        def correlations(chol, t, a, r):
+            seen.append((np.tril(t, -1).copy(), np.diagonal(t, axis1=1, axis2=2).copy()))
+            return kernel(chol, t, a, r)
+
+        monkeypatch.setattr(simulation, "_correlations", correlations)
+
+        def draws(ns, ls, pattern=LoadingPattern.CONSTANT):
+            seen.clear()
+            run_simulation(SimulationConfig(
+                sample_sizes=ns, mean_loadings=ls, indicator_counts=(6,),
+                loading_pattern=pattern, replications=30, seed=5,
+            ))
+            return list(seen)
+
+        [(lower, diagonal)] = draws((150,), (0.4,))
+        for n, l in [(150, 0.40001), (300, 0.4), (900, 0.8)]:
+            [(other_lower, other_diagonal)] = draws((n,), (l,))
+            assert np.array_equal(other_lower, lower)
+            assert np.array_equal(other_diagonal, diagonal) == (n == 150)
+        grid = draws((150, 300), (0.4, 0.8))
+        assert len(grid) == 4
+        assert all(np.array_equal(other_lower, lower) for other_lower, _ in grid)
+        [(variable_lower, _)] = draws((150,), (0.4,), LoadingPattern.VARIABLE)
+        assert not np.array_equal(variable_lower, lower)
 
     def test_blocks_work_in_the_calls_one_workspace(self, monkeypatch):
         # A p = 24 cell of three blocks next to a one-block p = 6 cell: every
@@ -396,32 +477,26 @@ class TestReplicationKernel:
             assert np.shares_memory(corr, made[0].r)
             assert np.shares_memory(resid, made[0].a)
 
-    def test_a_block_allocates_no_array_of_its_size(self):
+    def test_a_block_allocates_no_array_of_its_size(self, monkeypatch):
+        # The call's workspace is built beforehand: the three blocks of the
+        # cell, and its population, allocate less than one block array.
         p = 24
-        block = simulation._BLOCK_ELEMENTS // (p * p)
+        block = simulation._block_reps(p)
         config = SimulationConfig(
             sample_sizes=(150,), mean_loadings=(0.4,), indicator_counts=(p,),
             replications=3 * block,
         )
-        chol = population_chol(0.4, p)
         work = simulation._Workspace(block * p * p)
-        expected = simulation._replication_srmrs(config, chol, 150, 0.4, work)
+        monkeypatch.setattr(simulation, "_Workspace", lambda elements: work)
+        expected = run_simulation(config)
         tracemalloc.start()
         try:
-            values = simulation._replication_srmrs(config, chol, 150, 0.4, work)
+            cells = run_simulation(config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.array_equal(values, expected)
+        assert cells == expected
         assert peak < block * p * p * 8
-
-    def test_nearby_loadings_get_different_streams(self):
-        # The loading is keyed by its exact bits; 1e-4 rounding merged these two.
-        for a, b in zip(
-            simulation._cell_generators(5, LoadingPattern.CONSTANT, 150, 0.4, 6),
-            simulation._cell_generators(5, LoadingPattern.CONSTANT, 150, 0.40001, 6),
-        ):
-            assert not np.array_equal(a.standard_normal(4), b.standard_normal(4))
 
 
 class TestSimulationConfig:
@@ -503,7 +578,17 @@ class TestRunSimulation:
             population = population_correlation(population_loadings(c.l, c.p, pattern))
             implied = score_model_implied_sigma(population, np.ones(c.p))
             expected = srmr(population, implied).srmr
-            assert abs(c.population_srmr - expected) <= 1e-15 * expected
+            assert c.population_srmr == expected
+
+    def test_population_srmr_matches_the_closed_form(self):
+        # The pipeline does not cancel as l nears 1, where R - u u' would.
+        config = SimulationConfig(
+            sample_sizes=(150,), mean_loadings=(0.2, 0.8, 0.99, 0.9999999),
+            indicator_counts=(2, 6, 24), replications=1,
+        )
+        for c in run_simulation(config):
+            closed_form = srmr_parallel_closed_form(c.l * c.l, c.p)
+            assert c.population_srmr == pytest.approx(closed_form, rel=1e-14, abs=0)
 
     def test_same_seed_same_table(self):
         config = SimulationConfig(**SMALL)
@@ -515,16 +600,20 @@ class TestRunSimulation:
         assert a != b
 
     def test_cells_do_not_depend_on_the_rest_of_the_grid(self):
-        # Substreams are keyed by cell parameters, so shrinking the grid must
-        # reproduce the shared cell exactly.
-        full = run_simulation(SimulationConfig(**SMALL))
-        solo = run_simulation(
-            SimulationConfig(
-                sample_sizes=(300,), mean_loadings=(0.4,), indicator_counts=(12,),
-                replications=40, seed=77,
+        # A cell reads its streams from the start in blocks sized by p alone,
+        # so running it alone must reproduce its values in the grid exactly.
+        design = dict(
+            sample_sizes=(150, 300), mean_loadings=(0.4, 0.6), indicator_counts=(6, 24),
+            replications=40, seed=77,
+        )
+        full = run_simulation(SimulationConfig(**design))
+        assert len(full) == 8
+        for cell in full:
+            solo = SimulationConfig(
+                **{**design, "sample_sizes": (cell.n,), "mean_loadings": (cell.l,),
+                   "indicator_counts": (cell.p,)}
             )
-        )[0]
-        assert solo in full
+            assert run_simulation(solo) == [cell]
 
     def test_each_population_is_built_once_per_call(self, monkeypatch):
         # The 3 sample sizes share each of the 4 x 3 (l, p) populations; a
@@ -542,31 +631,63 @@ class TestRunSimulation:
         assert run_simulation(config) == first
         assert len(calls) == 24
 
-    @pytest.mark.parametrize("dropped", [0, 1, 2**19])
-    def test_a_cell_copies_its_values_only_when_some_were_dropped(self, monkeypatch, dropped):
-        # The mean and SD are those of the kept values.  When nothing was
-        # dropped, the SD's temporary (8 B per replication) is all the cell
-        # allocates beyond the values themselves: no mask and no copy is kept.
-        reps = 2**20
-        values = np.full(reps, 0.125)
-        values[1::2] = 0.375
-        values[:dropped] = np.nan
+    def test_fold_matches_numpy_moments(self):
+        # Blocks of every size from 1 up, some with dropped (NaN) values and one
+        # with nothing kept, folded in order: numpy's mean and SD of the kept.
+        rng = rng_for(14)
+        values = rng.normal(0.3, 0.01, 5000)
+        values[rng.random(values.size) < 0.05] = np.nan
+        values[100:140] = np.nan
+        moments, start = simulation._NO_VALUES, 0
+        for size in itertools.cycle((1, 2, 40, 455, 1000)):
+            moments = simulation._fold(moments, values[start : start + size])
+            start += size
+            if start >= values.size:
+                break
         kept = values[~np.isnan(values)]
-        monkeypatch.setattr(simulation, "_replication_srmrs", lambda *args: values)
+        count, mean, m2 = moments
+        assert count == kept.size
+        assert mean == pytest.approx(np.mean(kept), rel=1e-13, abs=0)
+        assert np.sqrt(m2 / count) == pytest.approx(np.std(kept), rel=1e-13, abs=0)
+
+    def test_dropped_replications_leave_the_moments_of_the_kept(self, monkeypatch):
+        # Every third value of each block is dropped; at p = 24 the cell folds
+        # three blocks.
+        record = record_unit_srmr(monkeypatch, drop=lambda values: values.__setitem__(
+            slice(None, None, 3), np.nan))
+        reps = 2 * simulation._block_reps(24) + 5
         config = SimulationConfig(
-            sample_sizes=(150,), mean_loadings=(0.4,), indicator_counts=(6,), replications=reps
+            sample_sizes=(150,), mean_loadings=(0.4,), indicator_counts=(24,), replications=reps,
+        )
+        [cell] = run_simulation(config)
+        values = np.concatenate(record)
+        assert 0 < cell.replications_used < reps
+        assert_moments(cell, values)
+
+    def test_a_cell_that_drops_every_replication(self, monkeypatch):
+        record_unit_srmr(monkeypatch, drop=lambda values: values.fill(np.nan))
+        [cell] = run_simulation(SimulationConfig(
+            sample_sizes=(150,), mean_loadings=(0.4,), indicator_counts=(6,), replications=3,
+        ))
+        assert cell.replications_used == 0
+        assert np.isnan(cell.mean_srmr_s) and np.isnan(cell.sd_srmr_s)
+
+    def test_memory_does_not_grow_with_the_replications(self):
+        # Twelve cells of 200,000 replications keep less than one float64 per
+        # replication between them: no cell holds its values.
+        reps = 200_000
+        config = SimulationConfig(
+            sample_sizes=(150, 300, 900), mean_loadings=(0.2, 0.4, 0.6, 0.8),
+            indicator_counts=(6,), replications=reps,
         )
         tracemalloc.start()
         try:
-            cell = simulation._run_cell(config, None, 150, 0.4, 6, 0.0, None)
+            cells = run_simulation(config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert cell.replications_used == reps - dropped
-        assert cell.mean_srmr_s == float(kept.mean())
-        assert cell.sd_srmr_s == float(kept.std())
-        if not dropped:
-            assert 0.99 < peak / (8 * reps) < 1.01
+        assert len(cells) == 12 and all(c.replications_used == reps for c in cells)
+        assert peak < reps * 8
 
     def test_single_replication_has_zero_sd(self):
         cells = run_simulation(
