@@ -225,7 +225,7 @@ def _cmd_fit_check(args) -> ReportDocument:
     for label, implied_sigma, operands in models:
         try:
             with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
+                warnings.simplefilter("always", NearSingularMatrixWarning)
                 implied = implied_sigma(*operands)
             fits.append((label, srmr(sigma, implied)))
         except ScorefitError as exc:
@@ -234,13 +234,14 @@ def _cmd_fit_check(args) -> ReportDocument:
             # The warnings that led up to it are dropped.
             exc.args = (f"{label} model: {exc}",) + exc.args[1:]
             raise
-        # A near-singular pivot is a report line, whatever the caller's filters;
-        # any other warning is re-emitted to those filters.
+        # A near-singular pivot is a report line, whatever the caller's filters.
+        # Any other warning met those filters where it was raised, so one that
+        # got through is shown as they would have shown it.
         for w in caught:
             if issubclass(w.category, NearSingularMatrixWarning):
                 found.append((label, str(w.message)))
             else:
-                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
+                warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
 
     return ReportDocument(
         inputs=tuple(inputs),

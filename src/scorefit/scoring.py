@@ -63,8 +63,12 @@ def score_model_implied_sigma(sigma: CorrelationMatrix, weights) -> CorrelationM
     """
     weights = _as_columns(weights, "weights")
     _check_same_p(sigma, weights.shape[0], "weight matrix")
-    cross = sigma.values @ weights  # Sigma B
-    gram = weights.T @ cross  # B' Sigma B
-    implied = cross @ spd_solve(gram, cross.T)
+    # Sums of entries near the binary64 limit overflow here.  srmr rejects such
+    # a Sigma (its residuals are too large to square), so numpy's overflow
+    # warning would only precede that error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        cross = sigma.values @ weights  # Sigma B
+        gram = weights.T @ cross  # B' Sigma B
+        implied = cross @ spd_solve(gram, cross.T)
     return CorrelationMatrix(implied)
 

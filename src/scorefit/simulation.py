@@ -36,9 +36,9 @@ u = R 1 / sqrt(1'R 1), and the residual R - u u' is formed entry by entry.
 
 Each distinct (l, p) population, its Cholesky factor and its population SRMR
 are built once per ``run_simulation`` call; nothing is kept between calls.  One
-workspace of flat buffers is allocated per call as well: every block draws,
-forms R and scores it in views of those buffers, so no block allocates an
-array of its own size.
+array of three buffers is allocated per call as well, for T, a (which then
+holds the residual) and R: every block draws, forms R and scores it in views
+of their leading elements, so no block allocates an array of its own size.
 
 Cells run one after another on one thread.  The CLI accepts ``--workers`` for
 compatibility; it has no effect.
@@ -62,15 +62,15 @@ from .scoring import score_model_implied_sigma
 SAMPLER = "bartlett-wishart/2"
 
 # Replications per block are sized so that one block's (reps, p, p) arrays hold
-# about this many elements each: 128 KiB of float64, so the workspace's four
-# buffers (512 KiB) stay in a 2 MiB L2 cache.  On the default grid (both
+# about this many elements each: 128 KiB of float64, so a call's three
+# buffers (384 KiB) stay in a 2 MiB L2 cache.  On the default grid (both
 # patterns, 1000 replications, one BLAS thread, 2-vCPU Xeon VM; medians of 8
 # rounds, each the fastest of 5 calls) 2**13 took 26% longer than 2**14,
-# 2**15 8% and 2**16 3%.  Each call touches its workspace afresh, so the page
+# 2**15 8% and 2**16 3%.  Each call touches its buffers afresh, so the page
 # faults of a call grow with it: one benchmark sim-grid call (200 replications,
-# after the CLI's malloc_trim) took about 225 minor faults at 2**14, 450 at
-# 2**15 and 900 at 2**16, and 12,700 when the same buffers were allocated per
-# block instead of per call (getrusage ru_minflt).  The blocks also fix the
+# after the CLI's malloc_trim) took about 120 minor faults at 2**14, 225 at
+# 2**15 and 450 at 2**16, and 446 at 2**14 when the same buffers were allocated
+# per block instead of per call (getrusage ru_minflt).  The blocks also fix the
 # order in which a cell's values are folded, so the size is part of the output.
 _BLOCK_ELEMENTS = 2**14
 
@@ -78,9 +78,10 @@ _BLOCK_ELEMENTS = 2**14
 # grow with the replications, so their cap bounds run time: 2**26 replications
 # of the default grid, both patterns, would take about four hours (0.2 s per
 # 1000 on a 2-vCPU Xeon VM, one BLAS thread).  Every distinct (l, p) population
-# keeps its p x p Cholesky factor for the whole call, and the workspace holds
-# four more p x p arrays at most: 2**24 entries in all (p = 4096 alone) peak at
-# 0.63 GiB.
+# keeps its p x p Cholesky factor for the whole call, and the call's buffers
+# hold three more p x p arrays at most.  Building one population takes six
+# p x p arrays at once, so 2**24 entries in all (p = 4096 alone) peak at about
+# 0.75 GiB (tracemalloc, scaled from p = 2048).
 MAX_REPLICATIONS = 2**26
 MAX_POPULATION_ENTRIES = 2**24
 
@@ -193,46 +194,16 @@ def _block_reps(p: int) -> int:
     return max(1, _BLOCK_ELEMENTS // (p * p))
 
 
-class _Workspace:
-    # Flat float64 buffers that every block of a run_simulation call views:
-    # the triangular factor T, the normals below its diagonal, a = L T (which,
-    # once R is formed, holds the residual) and R.  Each block's arrays are
-    # views of their leading elements, filled with out=, so no block allocates
-    # an array of its own size.  Each buffer holds ``elements`` float64: reps
-    # replications of p indicators fit where reps * p * p does not exceed it.
-    # T stays zero above the diagonal for the p it was last set up for with
-    # ``for_p``.
-    def __init__(self, elements: int) -> None:
-        self.t, self.normals, self.a, self.r = (np.empty(elements) for _ in range(4))
-
-    def for_p(self, p: int) -> tuple[np.ndarray, np.ndarray]:
-        # Zero T for blocks of p indicators, which write only its strict lower
-        # triangle and its diagonal.  Returns T's triangle indices.
-        self.t.fill(0.0)
-        return np.nonzero(np.tri(p, k=-1, dtype=bool))  # np.tril_indices(p, -1), 4x faster
-
-    def views(self, reps: int, p: int) -> tuple[np.ndarray, ...]:
-        # T, the normals, a and R of one block of reps replications.
-        square = reps * p * p
-        return (
-            self.t[:square].reshape(reps, p, p),
-            self.normals[: reps * (p * (p - 1) // 2)].reshape(reps, -1),
-            self.a[:square].reshape(reps, p, p),
-            self.r[:square].reshape(reps, p, p),
-        )
-
-
 # Bartlett's decomposition: the scatter matrix of n cases is Wishart_{n-1}(L L'),
 # drawn exactly as a a' with a = L T, T lower triangular, N(0, 1) below its
 # diagonal and sqrt(chi2(n-1-i)) on it.  The two draws below fill a block's T
-# (a view of the workspace, zero above its diagonal) in replication order, so
-# successive blocks continue one stream.
+# (zero above its diagonal) in replication order, so successive blocks
+# continue one stream.
 
 
-def _draw_lower(t: np.ndarray, z: np.ndarray, lower, normals: np.random.Generator) -> None:
-    # T's strict lower triangle (the indices in lower), through the normals view z.
-    normals.standard_normal(out=z)
-    t[:, lower[0], lower[1]] = z
+def _draw_lower(t: np.ndarray, lower, normals: np.random.Generator) -> None:
+    # T's strict lower triangle, at the indices in lower.
+    t[:, lower[0], lower[1]] = normals.standard_normal((t.shape[0], lower[0].size))
 
 
 def _draw_diagonal(t: np.ndarray, n: int, chisq: np.random.Generator) -> None:
@@ -243,9 +214,9 @@ def _draw_diagonal(t: np.ndarray, n: int, chisq: np.random.Generator) -> None:
 
 def _correlations(chol: np.ndarray, t: np.ndarray, a: np.ndarray, r: np.ndarray) -> np.ndarray:
     # The correlation matrices of a block's scatter matrices a a', a = L T,
-    # formed in the workspace views a and R; T is not modified.  Each row of a
-    # is scaled to unit length, so a a' is R itself; its diagonal is written
-    # as exactly 1.  R is returned.
+    # formed in the (reps, p, p) buffers a and R; T is not modified.  Each row
+    # of a is scaled to unit length, so a a' is R itself; its diagonal is
+    # written as exactly 1.  R is returned.
     reps, p = t.shape[0], t.shape[1]
     np.matmul(chol, t, out=a)
     scale = np.einsum("rij,rij->ri", a, a)  # the scatter's diagonal
@@ -256,14 +227,14 @@ def _correlations(chol: np.ndarray, t: np.ndarray, a: np.ndarray, r: np.ndarray)
     return r
 
 
-def _unit_srmr(corr: np.ndarray, resid: np.ndarray | None = None) -> np.ndarray:
+def _unit_srmr(corr: np.ndarray, resid: np.ndarray) -> np.ndarray:
     # SRMR of the single unit-weighted scale for each matrix of a (reps, p, p)
     # stack.  The implied matrix is c c' / s = u u' with c = R 1, s = 1'R 1 and
     # u = c / sqrt(s).  A matrix whose scale variance s fails the Cholesky
     # pivot check, or whose value is not finite, gets NaN: these are the cases
     # where score_model_implied_sigma or CorrelationMatrix raises.  corr is not
     # modified; the residual R - u u' is built and squared in resid, a
-    # (reps, p, p) buffer (a new one by default).
+    # (reps, p, p) buffer.
     # einsum, because a reduce over the short last axis is slow: corr.sum(axis=2)
     # took 2-3x as long, and c.sum(axis=1) twice as long at p = 6.
     c = np.einsum("rij->ri", corr)
@@ -293,10 +264,8 @@ def sample_correlation(loadings, n: int, rng: np.random.Generator) -> Correlatio
     if n < p + 1:
         raise ValidationError(f"need n >= p + 1 = {p + 1}, got n={n}")
     chol = cholesky_lower(population_correlation(lam).values)
-    work = _Workspace(p * p)
-    lower = work.for_p(p)
-    t, z, a, r = work.views(1, p)
-    _draw_lower(t, z, lower, rng)
+    t, a, r = np.zeros((3, 1, p, p))
+    _draw_lower(t, np.tril_indices(p, -1), rng)
     _draw_diagonal(t, n, rng)
     return CorrelationMatrix(_correlations(chol, t, a, r)[0])
 
@@ -363,17 +332,19 @@ def run_simulation(config: SimulationConfig) -> list[SimulationCell]:
     )
     populations = {key: _population(*key, pattern) for key in product(ls, ps)}
     reps, kind = config.replications, int(pattern is LoadingPattern.VARIABLE)
-    # One workspace for every block: the largest block of any p.
-    work = _Workspace(max(min(_block_reps(p), reps) * p * p for p in ps))
+    # T, a and R of every block, each sized for the largest block of any p.
+    buffers = np.empty((3, max(min(_block_reps(p), reps) * p * p for p in ps)))
     moments = dict.fromkeys(product(ns, ls, ps), _NO_VALUES)
     for p in ps:
-        lower = work.for_p(p)
+        buffers[0].fill(0.0)  # blocks write only T's strict lower triangle and diagonal
+        lower = np.nonzero(np.tri(p, k=-1, dtype=bool))  # np.tril_indices(p, -1), 4x faster
         normals = _stream(config.seed, 0, kind, p)
         chisqs = {n: _stream(config.seed, 1, kind, n, p) for n in ns}
         block = _block_reps(p)
         for start in range(0, reps, block):
-            t, z, a, r = work.views(min(block, reps - start), p)
-            _draw_lower(t, z, lower, normals)
+            size = min(block, reps - start)
+            t, a, r = buffers[:, : size * p * p].reshape(3, size, p, p)
+            _draw_lower(t, lower, normals)
             for n in ns:
                 _draw_diagonal(t, n, chisqs[n])
                 for l in ls:

@@ -26,6 +26,7 @@ from scorefit import (
     write_matrix,
 )
 import scorefit.model
+import scorefit.scoring
 from scorefit import cli, datasets
 from scorefit.cli import main
 from scorefit.fileio import _assemble
@@ -558,6 +559,30 @@ class TestFitCheckCommand:
                 main(argv)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("ignore")
+            assert main(argv) == 0
+        assert caught == []
+
+    def test_module_keyed_filters_apply_where_a_warning_is_raised(self, capsys, monkeypatch):
+        # A warning raised in scorefit.scoring meets the caller's filters with
+        # its own module, so a filter keyed by that module decides its fate.
+        scored = cli.score_model_implied_sigma
+
+        def deprecated(sigma, weights):
+            warnings.warn_explicit(
+                "this call is deprecated", DeprecationWarning, scorefit.scoring.__file__, 1,
+                module="scorefit.scoring",
+            )
+            return scored(sigma, weights)
+
+        monkeypatch.setattr(cli, "score_model_implied_sigma", deprecated)
+        argv = ["fit-check", "--demo", "stai", "--format", "json"]
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", category=DeprecationWarning, module="scorefit")
+            with pytest.raises(DeprecationWarning, match="this call is deprecated"):
+                main(argv)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            warnings.filterwarnings("ignore", category=DeprecationWarning, module="scorefit")
             assert main(argv) == 0
         assert caught == []
 

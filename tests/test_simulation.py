@@ -38,14 +38,17 @@ def population_chol(l, p, pattern=LoadingPattern.CONSTANT):
 
 
 def draw(chol, n, reps, normals, chisq):
-    # One block of reps replications through the kernels, in a workspace of its own.
+    # One block of reps replications through the kernels, in arrays of its own.
     p = chol.shape[0]
-    work = simulation._Workspace(reps * p * p)
-    lower = work.for_p(p)
-    t, z, a, r = work.views(reps, p)
-    simulation._draw_lower(t, z, lower, normals)
+    t, a, r = np.zeros((3, reps, p, p))
+    simulation._draw_lower(t, np.tril_indices(p, -1), normals)
     simulation._draw_diagonal(t, n, chisq)
     return simulation._correlations(chol, t, a, r)
+
+
+def unit_srmr(corr):
+    # The kernel's values for a stack, its residual built in a buffer of its own.
+    return simulation._unit_srmr(corr, np.empty_like(corr))
 
 
 def cell_streams(seed, pattern, n, p):
@@ -79,7 +82,7 @@ def record_unit_srmr(monkeypatch, drop=None):
     # values, after drop(values) marks some NaN if given, are appended.
     record, kernel = [], simulation._unit_srmr
 
-    def unit_srmr(corr, resid=None):
+    def unit_srmr(corr, resid):
         values = kernel(corr, resid)
         if drop is not None:
             drop(values)
@@ -90,8 +93,8 @@ def record_unit_srmr(monkeypatch, drop=None):
     return record
 
 
-# The kernels with fresh arrays for every step and no workspace: the ones that
-# write into views of a reused workspace must reproduce them bit for bit.
+# The kernels with fresh arrays for every step: the ones that write into views
+# of a call's reused buffers must reproduce them bit for bit.
 def oracle_bartlett_correlations(chol, n, reps, normals, chisq):
     p = chol.shape[0]
     rows, cols = np.tril_indices(p, -1)
@@ -284,9 +287,9 @@ class TestSampleCorrelation:
             draws = rng.standard_normal((n, lam.size + 1))
             x = draws[:, :1] * lam + draws[:, 1:] * np.sqrt(1.0 - lam * lam)
             raw.append(np.corrcoef(x, rowvar=False))
-        reference = simulation._unit_srmr(np.array(raw))
+        reference = unit_srmr(np.array(raw))
         chol = cholesky_lower(population_correlation(lam).values)
-        bartlett = simulation._unit_srmr(draw(chol, n, reps, rng, rng))
+        bartlett = unit_srmr(draw(chol, n, reps, rng, rng))
         se_mean = np.hypot(reference.std(), bartlett.std()) / np.sqrt(reps)
         se_sd = np.hypot(reference.std(), bartlett.std()) / np.sqrt(2 * reps)
         assert abs(reference.mean() - bartlett.mean()) < 4 * se_mean
@@ -299,7 +302,7 @@ class TestReplicationKernel:
         for p in (2, 6, 12, 24):
             chol = cholesky_lower(population_correlation(np.linspace(0.2, 0.8, p)).values)
             stack = draw(chol, 150, 30, rng, rng)
-            batched = simulation._unit_srmr(stack)
+            batched = unit_srmr(stack)
             for values, value in zip(stack, batched):
                 sample = CorrelationMatrix(values)
                 implied = score_model_implied_sigma(sample, np.ones(p))
@@ -307,9 +310,9 @@ class TestReplicationKernel:
 
     @pytest.mark.parametrize("p", [2, 6, 12, 24])
     def test_blocks_match_the_oracle_bit_for_bit(self, p):
-        # One reused workspace, with shorter views for a short last block, and
-        # T's diagonal rewritten for each n over one lower triangle, against
-        # the oracle's fresh arrays and streams of its own for each n: 1
+        # One reused buffer of T, a and R, with shorter views for a short last
+        # block, and T's diagonal rewritten for each n over one lower triangle,
+        # against the oracle's fresh arrays and streams of its own for each n: 1
         # replication, a full block, a full block + 1 and a half-full last block.
         pattern = LoadingPattern.VARIABLE
         chol = population_chol(0.5, p, pattern)
@@ -320,12 +323,12 @@ class TestReplicationKernel:
             chisqs = {n: cell_streams(13, pattern, n, p)[1] for n in sizes}
             oracle = {n: cell_streams(13, pattern, n, p) for n in sizes}
             textbook = {n: cell_streams(13, pattern, n, p) for n in sizes}
-            work = simulation._Workspace(min(block, reps) * p * p)
-            lower = work.for_p(p)
+            buffers = np.zeros((3, min(block, reps) * p * p))
+            lower = np.tril_indices(p, -1)
             for start in range(0, reps, block):
                 size = min(block, reps - start)
-                t, z, a, r = work.views(size, p)
-                simulation._draw_lower(t, z, lower, normals)
+                t, a, r = buffers[:, : size * p * p].reshape(3, size, p, p)
+                simulation._draw_lower(t, lower, normals)
                 for n in sizes:
                     simulation._draw_diagonal(t, n, chisqs[n])
                     corr = simulation._correlations(chol, t, a, r)
@@ -364,9 +367,7 @@ class TestReplicationKernel:
         ])
         before = stack.copy()
         expected = oracle_unit_srmr(stack)
-        assert np.array_equal(simulation._unit_srmr(stack), expected, equal_nan=True)
-        resid = np.empty_like(stack)
-        assert np.array_equal(simulation._unit_srmr(stack, resid), expected, equal_nan=True)
+        assert np.array_equal(unit_srmr(stack), expected, equal_nan=True)
         assert np.array_equal(stack, before, equal_nan=True)
         assert_near_textbook_srmr(expected, textbook_unit_srmr(stack))
 
@@ -376,7 +377,7 @@ class TestReplicationKernel:
         off = -0.5 + 1e-13
         zero_scale = np.array([[1.0, off, off], [off, 1.0, off], [off, off, 1.0]])
         not_finite = np.full((3, 3), np.nan)
-        values = simulation._unit_srmr(np.array([valid, zero_scale, not_finite]))
+        values = unit_srmr(np.array([valid, zero_scale, not_finite]))
         assert np.isfinite(values[0])
         assert np.isnan(values[1:]).all()
 
@@ -447,38 +448,31 @@ class TestReplicationKernel:
         [(variable_lower, _)] = draws((150,), (0.4,), LoadingPattern.VARIABLE)
         assert not np.array_equal(variable_lower, lower)
 
-    def test_blocks_work_in_the_calls_one_workspace(self, monkeypatch):
+    def test_blocks_work_in_one_allocation_of_the_call(self, monkeypatch):
         # A p = 24 cell of three blocks next to a one-block p = 6 cell: every
-        # block's R and residual are views of the one workspace of the call.
-        made, scored = [], []
+        # block's R and residual are views of one array, allocated by the call.
+        scored, kernel = [], simulation._unit_srmr
 
-        class Recorded(simulation._Workspace):
-            def __init__(self, elements):
-                super().__init__(elements)
-                made.append(self)
-
-        kernel = simulation._unit_srmr
-
-        def unit_srmr(corr, resid=None):
+        def unit_srmr(corr, resid):
             scored.append((corr, resid))
             return kernel(corr, resid)
 
-        monkeypatch.setattr(simulation, "_Workspace", Recorded)
         monkeypatch.setattr(simulation, "_unit_srmr", unit_srmr)
         config = SimulationConfig(
             sample_sizes=(150,), mean_loadings=(0.4,), indicator_counts=(6, 24),
             replications=2 * simulation._BLOCK_ELEMENTS // (24 * 24) + 5,
         )
         run_simulation(config)
-        assert len(made) == 1
-        blocks = [(corr, resid) for corr, resid in scored if resid is not None]
-        assert [corr.shape[-1] for corr, _ in blocks] == [6, 24, 24, 24]
-        for corr, resid in blocks:
-            assert np.shares_memory(corr, made[0].r)
-            assert np.shares_memory(resid, made[0].a)
+        assert [corr.shape[-1] for corr, _ in scored] == [6, 24, 24, 24]
+        buffers = scored[0][0].base
+        assert buffers.flags.owndata
+        for corr, resid in scored:
+            assert corr.base is buffers and resid.base is buffers
+            assert np.shares_memory(corr, buffers) and np.shares_memory(resid, buffers)
+            assert not np.shares_memory(corr, resid)
 
-    def test_a_block_allocates_no_array_of_its_size(self, monkeypatch):
-        # The call's workspace is built beforehand: the three blocks of the
+    def test_a_block_allocates_no_array_of_its_size(self):
+        # Past the call's three block-sized buffers, the three blocks of the
         # cell, and its population, allocate less than one block array.
         p = 24
         block = simulation._block_reps(p)
@@ -486,8 +480,6 @@ class TestReplicationKernel:
             sample_sizes=(150,), mean_loadings=(0.4,), indicator_counts=(p,),
             replications=3 * block,
         )
-        work = simulation._Workspace(block * p * p)
-        monkeypatch.setattr(simulation, "_Workspace", lambda elements: work)
         expected = run_simulation(config)
         tracemalloc.start()
         try:
@@ -496,7 +488,7 @@ class TestReplicationKernel:
         finally:
             tracemalloc.stop()
         assert cells == expected
-        assert peak < block * p * p * 8
+        assert peak < 4 * block * p * p * 8
 
 
 class TestSimulationConfig:
