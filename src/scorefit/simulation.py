@@ -31,14 +31,17 @@ of squared deviations) with Chan, Golub and LeVeque's pairwise update.
 A block's correlation matrices are formed without dividing the scatter
 matrix: each row of the scaled triangular factor a = L T is scaled to unit
 length, so a a' is the correlation matrix itself, with its diagonal written as
-exactly 1.  The implied matrix of the unit-weighted scale is u u' with
-u = R 1 / sqrt(1'R 1), and the residual R - u u' is formed entry by entry.
+exactly 1.  a a' is one plain matrix product per replication, against a
+transposed copy of a; R may differ from R' by a last ulp.  The implied matrix
+of the unit-weighted scale is u u' with u = R 1 / sqrt(1'R 1), and the
+residual R - u u' is formed entry by entry.
 
 Each distinct (l, p) population, its Cholesky factor and its population SRMR
 are built once per ``run_simulation`` call; nothing is kept between calls.  One
-array of three buffers is allocated per call as well, for T, a (which then
-holds the residual) and R: every block draws, forms R and scores it in views
-of their leading elements, so no block allocates an array of its own size.
+array of four buffers is allocated per call as well, for T, a (which then
+holds the residual), a' and R: every block draws, forms R and scores it in
+views of their leading elements, so no block allocates an array of its own
+size.
 
 Cells run one after another on one thread.  The CLI accepts ``--workers`` for
 compatibility; it has no effect.
@@ -62,24 +65,24 @@ from .scoring import score_model_implied_sigma
 SAMPLER = "bartlett-wishart/2"
 
 # Replications per block are sized so that one block's (reps, p, p) arrays hold
-# about this many elements each: 128 KiB of float64, so a call's three
-# buffers (384 KiB) stay in a 2 MiB L2 cache.  On the default grid (both
-# patterns, 1000 replications, one BLAS thread, 2-vCPU Xeon VM; medians of 8
-# rounds, each the fastest of 5 calls) 2**13 took 26% longer than 2**14,
-# 2**15 8% and 2**16 3%.  Each call touches its buffers afresh, so the page
-# faults of a call grow with it: one benchmark sim-grid call (200 replications,
-# after the CLI's malloc_trim) took about 120 minor faults at 2**14, 225 at
-# 2**15 and 450 at 2**16, and 446 at 2**14 when the same buffers were allocated
-# per block instead of per call (getrusage ru_minflt).  The blocks also fix the
-# order in which a cell's values are folded, so the size is part of the output.
-_BLOCK_ELEMENTS = 2**14
+# about this many elements each: 256 KiB of float64, so a call's four buffers
+# (1 MiB) stay in a 2 MiB L2 cache.  Timed with four buffers (one BLAS thread,
+# 2-vCPU Xeon VM, sizes interleaved): the benchmark's sim-grid (both patterns,
+# 200 replications; 5 seeds) took a median 0.044 s at 2**15, 0.050 s at 2**14
+# and 0.045 s at 2**16; the default grid at 1000 replications, one fresh
+# process per call (10 rounds), 0.33 s at 2**15, 0.38 s at 2**14 and 0.34 s at
+# 2**16, whose buffers also raised the benchmark's peak RSS by 1.1 MB more.
+# Larger blocks make fewer kernel calls; each call touches its buffers afresh,
+# so its page faults grow with them.  The blocks also fix the order in which a
+# cell's values are folded, so the size is part of the output.
+_BLOCK_ELEMENTS = 2**15
 
 # Caps on one config, checked before anything is allocated.  Memory does not
 # grow with the replications, so their cap bounds run time: 2**26 replications
-# of the default grid, both patterns, would take about four hours (0.2 s per
-# 1000 on a 2-vCPU Xeon VM, one BLAS thread).  Every distinct (l, p) population
+# of the default grid, both patterns, would take about three hours (0.16 s
+# per 1000 on a 2-vCPU Xeon VM, one BLAS thread).  Every distinct (l, p) population
 # keeps its p x p Cholesky factor for the whole call, and the call's buffers
-# hold three more p x p arrays at most.  Building one population takes six
+# hold four more p x p arrays at most.  Building one population takes six
 # p x p arrays at once, so 2**24 entries in all (p = 4096 alone) peak at about
 # 0.75 GiB (tracemalloc, scaled from p = 2048).
 MAX_REPLICATIONS = 2**26
@@ -212,17 +215,25 @@ def _draw_diagonal(t: np.ndarray, n: int, chisq: np.random.Generator) -> None:
     np.sqrt(chisq.chisquare(n - 1 - np.arange(p), size=(reps, p)), out=diagonal)
 
 
-def _correlations(chol: np.ndarray, t: np.ndarray, a: np.ndarray, r: np.ndarray) -> np.ndarray:
+def _correlations(
+    chol: np.ndarray, t: np.ndarray, a: np.ndarray, at: np.ndarray, r: np.ndarray
+) -> np.ndarray:
     # The correlation matrices of a block's scatter matrices a a', a = L T,
-    # formed in the (reps, p, p) buffers a and R; T is not modified.  Each row
-    # of a is scaled to unit length, so a a' is R itself; its diagonal is
+    # formed in the (reps, p, p) buffers a, at and R; T is not modified.  Each
+    # row of a is scaled to unit length, so a a' is R itself; its diagonal is
     # written as exactly 1.  R is returned.
+    # a' is copied into at, so the product is one plain GEMM per matrix:
+    # with both operands views of one buffer, numpy takes its A A' path (SYRK
+    # and a mirror copy), about twice as slow at p = 6 and 12.  GEMM's R may
+    # differ from R' by a last ulp (edge tiles, p = 17-20 for one), which no
+    # step below needs: the SRMR sums every squared residual.
     reps, p = t.shape[0], t.shape[1]
     np.matmul(chol, t, out=a)
     scale = np.einsum("rij,rij->ri", a, a)  # the scatter's diagonal
     np.divide(1.0, np.sqrt(scale, out=scale), out=scale)
     np.multiply(a, scale[:, :, None], out=a)
-    np.matmul(a, a.transpose(0, 2, 1), out=r)
+    np.copyto(at, a.transpose(0, 2, 1))
+    np.matmul(a, at, out=r)
     r.reshape(reps, p * p)[:, :: p + 1] = 1.0
     return r
 
@@ -264,10 +275,10 @@ def sample_correlation(loadings, n: int, rng: np.random.Generator) -> Correlatio
     if n < p + 1:
         raise ValidationError(f"need n >= p + 1 = {p + 1}, got n={n}")
     chol = cholesky_lower(population_correlation(lam).values)
-    t, a, r = np.zeros((3, 1, p, p))
+    t, a, at, r = np.zeros((4, 1, p, p))
     _draw_lower(t, np.tril_indices(p, -1), rng)
     _draw_diagonal(t, n, rng)
-    return CorrelationMatrix(_correlations(chol, t, a, r)[0])
+    return CorrelationMatrix(_correlations(chol, t, a, at, r)[0])
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
@@ -332,8 +343,8 @@ def run_simulation(config: SimulationConfig) -> list[SimulationCell]:
     )
     populations = {key: _population(*key, pattern) for key in product(ls, ps)}
     reps, kind = config.replications, int(pattern is LoadingPattern.VARIABLE)
-    # T, a and R of every block, each sized for the largest block of any p.
-    buffers = np.empty((3, max(min(_block_reps(p), reps) * p * p for p in ps)))
+    # T, a, a' and R of every block, each sized for the largest block of any p.
+    buffers = np.empty((4, max(min(_block_reps(p), reps) * p * p for p in ps)))
     moments = dict.fromkeys(product(ns, ls, ps), _NO_VALUES)
     for p in ps:
         buffers[0].fill(0.0)  # blocks write only T's strict lower triangle and diagonal
@@ -343,12 +354,12 @@ def run_simulation(config: SimulationConfig) -> list[SimulationCell]:
         block = _block_reps(p)
         for start in range(0, reps, block):
             size = min(block, reps - start)
-            t, a, r = buffers[:, : size * p * p].reshape(3, size, p, p)
+            t, a, at, r = buffers[:, : size * p * p].reshape(4, size, p, p)
             _draw_lower(t, lower, normals)
             for n in ns:
                 _draw_diagonal(t, n, chisqs[n])
                 for l in ls:
-                    corr = _correlations(populations[l, p][1], t, a, r)
+                    corr = _correlations(populations[l, p][1], t, a, at, r)
                     values = _unit_srmr(corr, a)  # a is spent: it takes the residual
                     moments[n, l, p] = _fold(moments[n, l, p], values)
 

@@ -16,7 +16,9 @@ Usage, from the repository root::
 
 rewrites every golden from the source in ``src/``, deletes goldens whose
 command is no longer in the set, and prints ``moved <name>`` for each golden
-whose content changed (or that is new), then ``N of M moved``.  ``--help``
+whose content changed (or that is new), then ``N of M moved``.  Where only
+numbers moved, the line also gives the largest relative difference between
+an old number and its new one.  ``--help``
 and argparse usage errors (exit 2) are left out: their text depends on the
 Python version and the terminal width.
 """
@@ -109,6 +111,9 @@ _ONCE = {
     "fit-check-reflective-without-loadings": [
         "fit-check", "--matrix", "ones.txt", "--reflective",
     ],
+    # One data line more than fileio.MAX_MATRIX_ROWS: refused before any row is
+    # converted to floats.
+    "fit-check-rows-over-cap": ["fit-check", "--matrix", "rows_over_cap.txt"],
     # STAI with items 1, 4 and 7 (0-based) reverse-keyed: D Sigma D and D lambda.
     # The unit-weighted scale follows the loading signs, so every SRMR is the demo's.
     "fit-check-stai-reflected": [
@@ -183,16 +188,22 @@ def load(path: Path) -> dict:
 _NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
 
+def _number_pairs(actual: str, expected: str) -> list[tuple[float, float]] | None:
+    """Each number of ``actual`` with the one in its place in ``expected``.
+
+    None where the texts between numbers differ.
+    """
+    got, want = _NUMBER.split(actual), _NUMBER.split(expected)
+    if len(got) != len(want) or got[0::2] != want[0::2]:
+        return None
+    return [(float(a), float(b)) for a, b in zip(got[1::2], want[1::2])]
+
+
 def _same_tokens(actual: str, expected: str) -> bool:
     """The texts between numbers match exactly, and each number to 1e-12 relative."""
-    got, want = _NUMBER.split(actual), _NUMBER.split(expected)
-    return (
-        len(got) == len(want)
-        and got[0::2] == want[0::2]
-        and all(
-            math.isclose(float(a), float(b), rel_tol=1e-12, abs_tol=1e-15)
-            for a, b in zip(got[1::2], want[1::2])
-        )
+    pairs = _number_pairs(actual, expected)
+    return pairs is not None and all(
+        math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-15) for a, b in pairs
     )
 
 
@@ -235,6 +246,25 @@ def _dump(path: Path, data: dict) -> bool:
     return moved
 
 
+def largest_relative_move(old: dict, new: dict) -> float | None:
+    """The largest ``|a - b| / max(|a|, |b|)`` over the numbers of two runs of a command.
+
+    None unless the runs differ in their numbers alone: same argv and exit
+    status, and the same text between numbers in stdout and stderr.
+    """
+    if old["argv"] != new["argv"] or old["exit"] != new["exit"]:
+        return None
+    largest = 0.0
+    for stream in ("stdout", "stderr"):
+        pairs = _number_pairs(new[stream], old[stream])
+        if pairs is None:
+            return None
+        for a, b in pairs:
+            if a != b:
+                largest = max(largest, abs(a - b) / max(abs(a), abs(b)))
+    return largest
+
+
 def regenerate() -> None:
     """Rewrite every golden, printing ``moved <name>`` for each whose content changed."""
     for stale in set(GOLDEN_DIR.glob("*.json")) - {FINGERPRINT}:
@@ -242,11 +272,15 @@ def regenerate() -> None:
             stale.unlink()
     moved = 0
     for name, argv in COMMANDS.items():
+        path = GOLDEN_DIR / f"{name}.json"
+        old = load(path) if path.exists() else None
         result = run(argv)
+        relative = None if old is None else largest_relative_move(old, result)
         for stream in ("stdout", "stderr"):
             result[stream] = result[stream].splitlines(keepends=True)
-        if _dump(GOLDEN_DIR / f"{name}.json", result):
-            print(f"moved {name}")
+        if _dump(path, result):
+            numbers = "" if relative is None else f" (numbers only, largest relative move {relative:.2g})"
+            print(f"moved {name}{numbers}")
             moved += 1
     _dump(FINGERPRINT, fingerprint())
     print(f"{moved} of {len(COMMANDS)} moved")

@@ -29,7 +29,7 @@ import scorefit.model
 import scorefit.scoring
 from scorefit import cli, datasets
 from scorefit.cli import main
-from scorefit.fileio import _assemble
+from scorefit.fileio import MAX_MATRIX_ROWS, _assemble
 
 # Independent transcription of the bundled data, compared field by field
 # against what the package embeds.
@@ -244,6 +244,21 @@ def test_file_without_data_lines_is_rejected(tmp_path, parse, text):
     with pytest.raises(MatrixParseError) as raised:
         parse(path)
     assert str(raised.value) == f"{path} contains no data lines"
+
+
+@pytest.mark.parametrize("parse", [parse_matrix, parse_loadings])
+def test_data_lines_above_the_cap_are_refused_before_conversion(tmp_path, parse):
+    # Comments and blank lines do not count; the rows are counted before any
+    # token is converted, so a bad token does not name its line.
+    path = tmp_path / "tall.txt"
+    path.write_text("* comment\n\n" + "x\n" * (MAX_MATRIX_ROWS + 1))
+    with pytest.raises(MatrixParseError) as raised:
+        parse(path)
+    assert str(raised.value) == (
+        f"{path} has {MAX_MATRIX_ROWS + 1} data lines, above the cap of {MAX_MATRIX_ROWS}"
+    )
+    path.write_text("* comment\n\n" + "0.5\n" * MAX_MATRIX_ROWS)
+    assert parse_loadings(path).shape == (MAX_MATRIX_ROWS,)
 
 
 class TestParseLoadings:

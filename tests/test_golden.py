@@ -51,6 +51,18 @@ def test_mismatch_names_the_first_difference(monkeypatch):
     assert regen.mismatch(warned, golden).startswith("stderr line 1: ")
 
 
+def test_largest_relative_move_reads_numbers_only():
+    old = {"argv": ["x"], "exit": 0, "stdout": "mean 0.25 sd 2e-3\n", "stderr": ""}
+    assert regen.largest_relative_move(old, old) == 0.0
+    moved = dict(old, stdout="mean 0.25 sd 0.0020000000000000005\n")
+    ulp = 0.0020000000000000005 - 2e-3
+    assert ulp > 0
+    assert regen.largest_relative_move(old, moved) == ulp / 0.0020000000000000005
+    for other in (dict(old, stdout="mean 0.25 SD 2e-3\n"), dict(old, exit=1),
+                  dict(old, stderr="warning 1\n"), dict(old, stdout="mean 0.25\n")):
+        assert regen.largest_relative_move(old, other) is None
+
+
 @pytest.mark.parametrize("name", ["closed-form-evaluate-p-1", "fit-check-loading-1e200"])
 def test_replay_runs_a_golden_in_a_fresh_process(name):
     # The children run with strict warnings, so any numpy warning on the
