@@ -9,7 +9,6 @@ nonzero.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import dataclasses
 import functools
 import hashlib
@@ -28,21 +27,30 @@ from .fit import (
     srmr,
     srmr_parallel_closed_form,
 )
-from .model import FactorModel, cholesky_lower, factor_implied_sigma
+from .model import CorrelationMatrix, FactorModel, cholesky_lower, factor_implied_sigma
 from .report import OutputFormat, ReportDocument
 from .scoring import fs_implied_sigma, score_model_implied_sigma
 from .simulation import SAMPLER, LoadingPattern, SimulationConfig, run_simulation
 
 
+# main trims the heap only after a report of at least this many characters.
+# glibc keeps freed heap pages resident, and whether a later report-sized block
+# reused them made the peak memory of repeated large fit-check --residuals calls
+# swing by one report (20 to 25 MB at p = 400), so those reports still trim.
+# A small report sets no peak, and trimming after it cost about 0.3 ms of a
+# 3 ms p = 27 residual report: the malloc_trim call, and the page faults of the
+# next call, which touches again the pages just handed back.  With this gate
+# the benchmark's fit-check-files latency_p50_ms went 3.08 -> 2.78 ms and its
+# peak stayed at 122-123 MB; 16 MiB was no faster and peaked up to 1 MB higher
+# (2-vCPU Xeon VM, Python 3.11).
+TRIM_AFTER_CHARS = 1 << 20
+
+
 @functools.cache
 def _malloc_trim():
-    """glibc's ``malloc_trim``, or None where the C library has none.
+    """glibc's ``malloc_trim``, or None where the C library has none."""
+    import ctypes  # only a call that trims loads it
 
-    ``main`` calls it once the report is rendered: glibc keeps freed heap
-    pages resident, and whether a later report-sized block reused them made
-    the peak memory of repeated large ``fit-check --residuals`` calls swing by
-    one report (20 to 25 MB at p = 400).
-    """
     try:
         malloc_trim = ctypes.CDLL(None).malloc_trim
     except (AttributeError, OSError, TypeError):
@@ -181,10 +189,29 @@ def _cmd_fit_check(args) -> ReportDocument:
         sigma = datasets.stai_correlation_matrix()
         inputs = [("matrix", source), ("matrix_sha256", checksums["matrix"])]
     else:
-        matrix_path, matrix_digest = Path(args.matrix), hashlib.sha256()
-        sigma = parse_matrix(matrix_path, digest=matrix_digest)
-        inputs = [("matrix", str(matrix_path)), ("matrix_sha256", matrix_digest.hexdigest())]
+        source, matrix_digest = str(Path(args.matrix)), hashlib.sha256()
+        sigma = parse_matrix(source, digest=matrix_digest)
+        inputs = [("matrix", source), ("matrix_sha256", matrix_digest.hexdigest())]
     inputs.append(("p", str(sigma.p)))
+
+    # The loadings are standardized, so every model is scored on the correlation
+    # metric: a covariance matrix becomes D^-1/2 Sigma D^-1/2 first.
+    variances = np.diagonal(sigma.values)
+    if not (variances == 1.0).all():
+        if not (variances > 0.0).all():
+            i = int(np.argmin(variances > 0.0))
+            raise ValidationError(
+                f"{source}: variance of indicator {i} is {variances[i]:g}, not positive"
+            )
+        s = 1.0 / np.sqrt(variances)
+        # Sigma_ij * s_i * s_j, left to right: no product of two variances, so
+        # entries near 1e308 do not overflow.  An entry far above its variances
+        # (a matrix that is no covariance) may; it is then rejected as non-finite.
+        with np.errstate(over="ignore"):
+            values = sigma.values * s[:, None] * s
+        np.fill_diagonal(values, 1.0)
+        sigma = CorrelationMatrix(values)
+        inputs.append(("metric", "covariance, rescaled to correlation"))
 
     if args.loadings is not None:
         loadings_path, loadings_digest = Path(args.loadings), hashlib.sha256()
@@ -213,7 +240,7 @@ def _cmd_fit_check(args) -> ReportDocument:
         try:
             cholesky_lower(sigma.values)
         except SingularMatrixError as exc:
-            note = f"{matrix_path}: matrix is not positive definite ({exc})"
+            note = f"{source}: matrix is not positive definite ({exc})"
             found.append(("unit_weighted", note))
     else:
         # Validate the loadings before any model is scored.
@@ -335,7 +362,10 @@ def main(argv=None) -> int:
     except ScorefitError as exc:
         print(f"scorefit: error: {exc}", file=sys.stderr)
         return 1
-    if (malloc_trim := _malloc_trim()) is not None:
+    except MemoryError:
+        print("scorefit: error: out of memory while building the report", file=sys.stderr)
+        return 1
+    if len(text) >= TRIM_AFTER_CHARS and (malloc_trim := _malloc_trim()) is not None:
         malloc_trim(0)  # hand the pages freed while rendering back to the system
     try:
         if args.out:

@@ -89,14 +89,15 @@ _ONCE = {
         "fit-check", "--matrix", "double_fault.txt", "--loadings", "double_fault_loadings.txt",
     ],
     "fit-check-bom": ["fit-check", "--matrix", "bom.txt"],
-    # Entries too large to square: an error, never an SRMR of inf.
+    # Variances too large to square: rescaled to correlation entry by entry,
+    # so nothing overflows and the SRMR is the unscaled one.
     "fit-check-lower-1e308": ["fit-check", "--matrix", "lower_1e308.txt"],
     "fit-check-full-1e308": ["fit-check", "--matrix", "full_1e308.txt"],
     "fit-check-diagonal-1e200.json": [
         "fit-check", "--matrix", "diagonal_1e200.txt", "--format", "json",
     ],
-    # Covariance input at large scales: model products whose rounding
-    # asymmetry is far above 1e-10 in absolute terms, yet tiny against the scale.
+    # Covariance input at large scales: every model is scored on the
+    # correlation rescaling, so the report matches the unscaled matrix's.
     "fit-check-covariance-1e4.csv": [
         "fit-check", "--matrix", "covariance_1e4.txt", "--loadings", "covariance_p12_loadings.txt",
         "--reflective", "--residuals", "--format", "csv",

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import ctypes
 import hashlib
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scorefit import (
+    CorrelationMatrix,
     MatrixParseError,
     SingularMatrixError,
     build_parallel_sigma,
@@ -412,6 +414,31 @@ class TestFitCheckCommand:
         assert main(["closed-form", "--r", "0.5", "--p", "6"]) == 1
         err = capsys.readouterr().err
         assert err == "scorefit: error: cannot write stdout: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.parametrize("step", ["parse_matrix", "render"])
+    def test_out_of_memory_exits_1_without_a_traceback(self, tmp_path, capsys, monkeypatch, step):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        owner = cli.ReportDocument if step == "render" else cli
+        monkeypatch.setattr(owner, step, exhausted)
+        path = tmp_path / "m.txt"
+        write_matrix(path, build_parallel_sigma(0.3, 3))
+        assert main(["fit-check", "--matrix", str(path)]) == 1
+        assert capsys.readouterr() == (
+            "", "scorefit: error: out of memory while building the report\n"
+        )
+
+    @pytest.mark.parametrize("variance, shown", [(0.0, "0"), (-2.5, "-2.5")])
+    def test_a_variance_that_is_not_positive_names_its_indicator(
+        self, tmp_path, capsys, variance, shown
+    ):
+        path = tmp_path / "m.txt"
+        path.write_text(f"4.0\n0.3 {variance!r}\n0.2 0.25 1.0\n")
+        assert main(["fit-check", "--matrix", str(path)]) == 1
+        assert capsys.readouterr() == (
+            "", f"scorefit: error: {path}: variance of indicator 1 is {shown}, not positive\n"
+        )
 
     def test_reflective_requires_loadings(self, tmp_path, capsys):
         path = tmp_path / "eye.txt"
@@ -1085,10 +1112,13 @@ def _glibc_mallinfo2():
     return mallinfo2
 
 
-@pytest.mark.skipif(_glibc_mallinfo2() is None, reason="needs glibc's mallinfo2")
-def test_main_returns_freed_heap_pages(capsys):
-    # Fixed thresholds keep a freed 24 MB block on the heap's top, as glibc's
-    # own raised thresholds did for a freed report; main hands it back.
+@contextlib.contextmanager
+def _freed_block_on_the_heap_top():
+    """Yield ``mallinfo2`` with a freed 24 MB block on the heap's top.
+
+    Fixed thresholds keep the block there, as glibc's own raised thresholds
+    did for a freed report, until something trims the heap.
+    """
     mallinfo2, mallopt = _glibc_mallinfo2(), ctypes.CDLL(None).mallopt
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     m_trim_threshold, m_mmap_threshold = -1, -3  # glibc's <malloc.h>
@@ -1098,9 +1128,39 @@ def test_main_returns_freed_heap_pages(capsys):
         block = bytearray(24 << 20)
         del block
         assert mallinfo2().keepcost >= 24 << 20
-        assert main(["closed-form", "--r", "0.5", "--p", "4"]) == 0
-        assert mallinfo2().keepcost < 1 << 20
+        yield mallinfo2
     finally:
         mallopt(m_mmap_threshold, 128 << 10)  # glibc's defaults
         mallopt(m_trim_threshold, 128 << 10)
+
+
+@pytest.mark.skipif(_glibc_mallinfo2() is None, reason="needs glibc's mallinfo2")
+def test_main_returns_freed_heap_pages(tmp_path, capsys):
+    # A residual report of 1 MiB or more: main hands the freed block back.
+    p, rng = 100, np.random.default_rng(27)
+    lam = rng.uniform(0.3, 0.8, p)
+    noise = np.triu(rng.uniform(-0.02, 0.02, (p, p)), 1)
+    sigma = np.outer(lam, lam) + noise + noise.T
+    np.fill_diagonal(sigma, 1.0)
+    write_matrix(tmp_path / "matrix.txt", CorrelationMatrix(sigma))
+    (tmp_path / "loadings.txt").write_text("".join(f"{v!r}\n" for v in lam.tolist()))
+    argv = [
+        "fit-check", "--matrix", str(tmp_path / "matrix.txt"), "--loadings",
+        str(tmp_path / "loadings.txt"), "--reflective", "--residuals", "--format", "csv",
+    ]
+    with _freed_block_on_the_heap_top() as mallinfo2:
+        assert main(argv) == 0
+        assert mallinfo2().keepcost < 1 << 20
+    assert len(capsys.readouterr().out) >= cli.TRIM_AFTER_CHARS
+
+
+@pytest.mark.skipif(_glibc_mallinfo2() is None, reason="needs glibc's mallinfo2")
+def test_main_leaves_the_heap_alone_after_a_small_report(capsys):
+    # A closed-form report is a few hundred bytes: trimming would only make the
+    # next call fault the pages back in.
+    argv = ["closed-form", "--r", "0.5", "--p", "4"]
+    assert main(argv) == 0  # builds the parser, once per process
+    with _freed_block_on_the_heap_top() as mallinfo2:
+        assert main(argv) == 0
+        assert mallinfo2().keepcost >= 24 << 20
     capsys.readouterr()

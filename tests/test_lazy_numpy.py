@@ -25,8 +25,9 @@ _spec = importlib.util.spec_from_file_location("golden_regen", GOLDEN / "regen.p
 regen = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(regen)
 
-# Runs the named golden commands, then reports each result and which numpy
-# submodules the process has loaded.  {before} runs before scorefit is imported.
+# Runs the named golden commands, then reports each result, which numpy
+# submodules the process has loaded and whether it loaded ctypes.  {before}
+# runs before scorefit is imported.
 CHILD = """\
 import importlib.util, json, sys
 sys.path.insert(0, {src!r})
@@ -37,7 +38,7 @@ regen = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(regen)
 results = {{name: regen.run(regen.COMMANDS[name]) for name in {names!r}}}
 loaded = sorted(name for name in sys.modules if name.startswith("numpy."))
-print(json.dumps({{"results": results, "numpy_submodules": loaded}}))
+print(json.dumps({{"results": results, "numpy_submodules": loaded, "ctypes": "ctypes" in sys.modules}}))
 """
 
 CLOSED_FORM = sorted(name for name in regen.COMMANDS if name.startswith("closed-form-"))
@@ -67,6 +68,8 @@ def test_closed_form_writes_its_goldens_without_loading_numpy():
     for name in CLOSED_FORM:
         assert report["results"][name] == _golden(name), name
     assert report["numpy_submodules"] == []
+    # Nor ctypes: main trims the heap, through ctypes, only after a large report.
+    assert report["ctypes"] is False
 
 
 @pytest.mark.parametrize("name", ["fit-check-stai-reflective-residuals.csv", "simulate-reordered-grid.csv"])
