@@ -84,25 +84,48 @@ def _symmetrized(arr: np.ndarray, subject: str) -> np.ndarray:
 def cholesky_lower(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive definite matrix.
 
-    A pivot at or below ``PIVOT_TOL`` raises :class:`SingularMatrixError`
-    naming the failing pivot index.  Factorization never warns: a caller that
-    only checks or draws from the factor gets it silently, and :func:`spd_solve`
-    flags a near-singular matrix.
+    Only the lower triangle of ``a`` is read.  LAPACK factors the matrix.
+    Where it fails, or its smallest pivot ``diag(L)**2`` is at or below
+    ``PIVOT_TOL``, :func:`_cholesky_loop` factors it again to name the pivot:
+    a pivot at or below ``PIVOT_TOL`` raises :class:`SingularMatrixError`
+    naming the failing pivot index, and a matrix the loop passes gets the
+    loop's factor.  Factorization never warns: a caller that only checks or
+    draws from the factor gets it silently, and :func:`spd_solve` flags a
+    near-singular matrix.
+    """
+    try:
+        lower = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return _cholesky_loop(a)
+    diag = np.diagonal(lower)
+    # A NaN pivot fails this test too, and the loop decides.
+    if (diag * diag > PIVOT_TOL).all():
+        return lower
+    return _cholesky_loop(a)
+
+
+def _cholesky_loop(a: np.ndarray) -> np.ndarray:
+    """Column-by-column Cholesky that raises at the first pivot at or below ``PIVOT_TOL``.
+
+    :func:`cholesky_lower` runs it only where LAPACK fails or leaves a pivot at
+    or below the tolerance, so that the error names the pivot.  An entry too large to square gives a pivot of
+    ``-inf``, refused like any other, not a numpy warning.
     """
     n = a.shape[0]
     lower = np.zeros((n, n))
-    for j in range(n):
-        pivot = a[j, j] - lower[j, :j] @ lower[j, :j]
-        if pivot <= PIVOT_TOL:
-            raise SingularMatrixError(
-                f"Cholesky pivot {j} is {pivot:.3e} (tolerance {PIVOT_TOL:g}); "
-                "matrix is singular or not positive definite",
-                pivot_index=j,
-                pivot=pivot,
-            )
-        lower[j, j] = math.sqrt(pivot)
-        if j + 1 < n:
-            lower[j + 1 :, j] = (a[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / lower[j, j]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(n):
+            pivot = a[j, j] - lower[j, :j] @ lower[j, :j]
+            if pivot <= PIVOT_TOL:
+                raise SingularMatrixError(
+                    f"Cholesky pivot {j} is {pivot:.3e} (tolerance {PIVOT_TOL:g}); "
+                    "matrix is singular or not positive definite",
+                    pivot_index=j,
+                    pivot=pivot,
+                )
+            lower[j, j] = math.sqrt(pivot)
+            if j + 1 < n:
+                lower[j + 1 :, j] = (a[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / lower[j, j]
     return lower
 
 

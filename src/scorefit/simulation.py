@@ -79,10 +79,10 @@ _BLOCK_ELEMENTS = 2**15
 
 # Caps on one config, checked before anything is allocated.  Memory does not
 # grow with the replications, so their cap bounds run time: 2**26 replications
-# of the default grid, both patterns, would take about three hours (0.16 s
-# per 1000 on a 2-vCPU Xeon VM, one BLAS thread).  Every distinct (l, p) population
-# keeps its p x p Cholesky factor for the whole call, and the call's buffers
-# hold four more p x p arrays at most.  Building one population takes six
+# of the default grid, both patterns, would take about an hour and a half
+# (0.078 s per 1000 on a 2-vCPU Xeon VM, one BLAS thread).  Every distinct
+# (l, p) population keeps its p x p Cholesky factor for the whole call, and
+# the call's buffers hold four more p x p arrays at most.  Building one population takes six
 # p x p arrays at once, so 2**24 entries in all (p = 4096 alone) peak at about
 # 0.75 GiB (tracemalloc, scaled from p = 2048).
 MAX_REPLICATIONS = 2**26

@@ -96,6 +96,9 @@ _ONCE = {
     "fit-check-diagonal-1e200.json": [
         "fit-check", "--matrix", "diagonal_1e200.txt", "--format", "json",
     ],
+    # An off-diagonal entry too large to square: the Cholesky pivot is -inf,
+    # refused without a numpy warning, and the SRMR is not finite.
+    "fit-check-offdiagonal-1e200": ["fit-check", "--matrix", "offdiagonal_1e200.txt"],
     # Covariance input at large scales: every model is scored on the
     # correlation rescaling, so the report matches the unscaled matrix's.
     "fit-check-covariance-1e4.csv": [

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -32,6 +33,9 @@ import scorefit.scoring
 from scorefit import cli, datasets
 from scorefit.cli import main
 from scorefit.fileio import MAX_MATRIX_ROWS, _assemble
+
+sys.path.insert(0, str(Path(__file__).parent / "golden"))
+import regen  # noqa: E402
 
 # Independent transcription of the bundled data, compared field by field
 # against what the package embeds.
@@ -1164,3 +1168,36 @@ def test_main_leaves_the_heap_alone_after_a_small_report(capsys):
         assert main(argv) == 0
         assert mallinfo2().keepcost >= 24 << 20
     capsys.readouterr()
+
+
+def test_blas_threads_move_numbers_only_within_the_golden_tolerance(tmp_path):
+    # LAPACK's factor and numpy's products may round differently with the BLAS
+    # thread count from about p = 100 on: a p = 150 residual CSV from one
+    # thread and from two must agree within the goldens' cross-machine tolerance.
+    p, rng = 150, np.random.default_rng(150)
+    lam = rng.uniform(0.3, 0.8, p)
+    noise = np.triu(rng.uniform(-0.02, 0.02, (p, p)), 1)
+    sigma = np.outer(lam, lam) + noise + noise.T
+    np.fill_diagonal(sigma, 1.0)
+    write_matrix(tmp_path / "matrix.txt", CorrelationMatrix(sigma))
+    (tmp_path / "loadings.txt").write_text("".join(f"{v!r}\n" for v in lam.tolist()))
+    argv = [
+        sys.executable, "-m", "scorefit.cli", "fit-check", "--matrix", "matrix.txt",
+        "--loadings", "loadings.txt", "--reflective", "--residuals", "--format", "csv",
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(
+            os.environ, PYTHONPATH=src,
+            OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+        )
+        done = subprocess.run(
+            argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        outputs.append(done.stdout.splitlines())
+    one, two = outputs
+    assert len(one) == len(two) > p * p
+    for lineno, (a, b) in enumerate(zip(one, two), 1):
+        assert regen._same_tokens(a, b), f"line {lineno}: {a!r} against {b!r}"

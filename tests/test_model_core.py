@@ -16,7 +16,8 @@ from scorefit import (
     factor_implied_sigma,
     srmr_parallel_closed_form,
 )
-from scorefit.model import cholesky_lower, spd_solve
+import scorefit.model
+from scorefit.model import PIVOT_TOL, _cholesky_loop, cholesky_lower, spd_solve
 
 
 class TestCorrelationMatrix:
@@ -254,3 +255,85 @@ class TestSpdSolve:
 def test_stai_matrix_is_positive_definite(stai_sigma):
     lower = cholesky_lower(stai_sigma.values)
     assert np.all(np.diag(lower) > 0)
+
+
+def _seeded_correlation(p: int) -> np.ndarray:
+    # One common factor plus noise, over twice as many cases as variables.
+    rng = np.random.default_rng(p)
+    x = rng.standard_normal((2 * p + 10, 1)) + rng.standard_normal((2 * p + 10, p))
+    return np.corrcoef(x, rowvar=False)
+
+
+def _above_diagonal(a: np.ndarray, value: float) -> np.ndarray:
+    out = a.copy()
+    out[np.triu_indices_from(out, 1)] = value
+    return out
+
+
+class TestCholeskyLower:
+    """LAPACK factors; the loop, kept as the reference, runs only to name a pivot."""
+
+    @pytest.mark.parametrize("p", [2, 27, 150])
+    def test_lapack_agrees_with_the_loop(self, p):
+        a = _seeded_correlation(p)
+        lower = cholesky_lower(a)
+        assert np.array_equal(lower, np.linalg.cholesky(a))
+        assert np.abs(lower - _cholesky_loop(a)).max() <= 1e-14
+
+    def test_lapack_agrees_with_the_loop_on_stai(self, stai_sigma):
+        lower = cholesky_lower(stai_sigma.values)
+        assert np.abs(lower - _cholesky_loop(stai_sigma.values)).max() <= 1e-14
+
+    def test_a_positive_definite_matrix_never_runs_the_loop(self, monkeypatch, stai_sigma):
+        def loop(a):
+            raise AssertionError("the loop ran")
+
+        monkeypatch.setattr(scorefit.model, "_cholesky_loop", loop)
+        cholesky_lower(stai_sigma.values)
+        spd_solve(stai_sigma.values, np.eye(stai_sigma.p))
+
+    def test_a_small_pivot_that_lapack_accepts_is_still_refused(self):
+        # LAPACK factors this matrix; its last pivot is 5e-11, below PIVOT_TOL.
+        a = build_parallel_sigma(1.0 - 2.5e-11, 2).values
+        assert 0.0 < np.linalg.cholesky(a)[1, 1] ** 2 < PIVOT_TOL
+        expected = r"^Cholesky pivot 1 is 5\.000e-11 "
+        with pytest.raises(SingularMatrixError, match=expected) as excinfo:
+            cholesky_lower(a)
+        assert excinfo.value.pivot_index == 1
+
+    def test_a_failure_has_the_loops_message_index_and_pivot(self):
+        a = build_parallel_sigma(1.0, 3).values
+        with pytest.raises(SingularMatrixError) as lapack:
+            cholesky_lower(a)
+        with pytest.raises(SingularMatrixError) as loop:
+            _cholesky_loop(a)
+        assert str(lapack.value) == str(loop.value)
+        assert (lapack.value.pivot_index, lapack.value.pivot) == (1, 0.0)
+        assert (loop.value.pivot_index, loop.value.pivot) == (1, 0.0)
+
+    def test_an_entry_too_large_to_square_is_refused_without_a_warning(self):
+        a = np.array([[1.0, 1e200], [1e200, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMatrixError, match=r"^Cholesky pivot 1 is -inf ") as exc:
+                cholesky_lower(a)
+        assert (exc.value.pivot_index, exc.value.pivot) == (1, -np.inf)
+
+    def test_entries_above_the_diagonal_are_not_read(self):
+        a = _seeded_correlation(27)
+        for value in (7e300, -1.0, 0.0):
+            assert np.array_equal(cholesky_lower(_above_diagonal(a, value)), cholesky_lower(a))
+            assert np.array_equal(_cholesky_loop(_above_diagonal(a, value)), _cholesky_loop(a))
+        singular = build_parallel_sigma(1.0 - 2.5e-11, 2).values
+        with pytest.raises(SingularMatrixError) as expected:
+            cholesky_lower(singular)
+        for value in (7e300, -1.0, 0.0):
+            with pytest.raises(SingularMatrixError) as excinfo:
+                cholesky_lower(_above_diagonal(singular, value))
+            assert str(excinfo.value) == str(expected.value)
+            assert excinfo.value.pivot_index == expected.value.pivot_index
+            assert excinfo.value.pivot == expected.value.pivot
+
+    def test_an_empty_matrix_has_an_empty_factor(self):
+        assert cholesky_lower(np.zeros((0, 0))).shape == (0, 0)
+        assert spd_solve(np.zeros((0, 0)), np.zeros((0, 1))).shape == (0, 1)
