@@ -14,11 +14,13 @@ Usage, from the repository root::
 
     python tests/golden/regen.py
 
-rewrites every golden from the source in ``src/``, deletes goldens whose
-command is no longer in the set, and prints ``moved <name>`` for each golden
-whose content changed (or that is new), then ``N of M moved``.  Where only
-numbers moved, the line also gives the largest relative difference between
-an old number and its new one.  ``--help``
+runs every command from the source in ``src/``, rewrites only the goldens
+whose content changed (or that are new), deletes goldens whose command is no
+longer in the set, and prints ``moved <name>`` for each golden it wrote, then
+``N of M moved``.  Where only numbers moved, the line also gives the largest
+move of an old number to its new one as a fraction of the token-mode
+tolerance (see ``mismatch``): at 1 or less the old golden would still pass
+in token mode.  ``--help``
 and argparse usage errors (exit 2) are left out: their text depends on the
 Python version and the terminal width.
 """
@@ -189,6 +191,10 @@ def load(path: Path) -> dict:
     return golden
 
 
+# Token mode's tolerance: two numbers match where |a - b| is at most
+# max(REL_TOL * max(|a|, |b|), ABS_TOL), as in math.isclose.
+REL_TOL, ABS_TOL = 1e-12, 1e-15
+
 _NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
 
@@ -204,10 +210,10 @@ def _number_pairs(actual: str, expected: str) -> list[tuple[float, float]] | Non
 
 
 def _same_tokens(actual: str, expected: str) -> bool:
-    """The texts between numbers match exactly, and each number to 1e-12 relative."""
+    """The texts between numbers match exactly, and each number to the tolerance."""
     pairs = _number_pairs(actual, expected)
     return pairs is not None and all(
-        math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-15) for a, b in pairs
+        math.isclose(a, b, rel_tol=REL_TOL, abs_tol=ABS_TOL) for a, b in pairs
     )
 
 
@@ -243,18 +249,24 @@ def mismatch(actual: dict, expected: dict) -> str | None:
 
 
 def _dump(path: Path, data: dict) -> bool:
-    """Write data as JSON to path; whether that changed the file (a new file counts)."""
+    """Write data as JSON to path unless the file holds that text already.
+
+    Whether it wrote (a new file counts).  An unchanged file keeps its mtime.
+    """
     text = json.dumps(data, indent=1) + "\n"
-    moved = not path.exists() or path.read_text(encoding="utf-8") != text
+    if path.exists() and path.read_text(encoding="utf-8") == text:
+        return False
     path.write_text(text, encoding="utf-8")
-    return moved
+    return True
 
 
 def largest_relative_move(old: dict, new: dict) -> float | None:
-    """The largest ``|a - b| / max(|a|, |b|)`` over the numbers of two runs of a command.
+    """The largest ``|a - b|`` over the numbers of two runs of a command, as a
+    fraction of the token-mode tolerance ``max(REL_TOL * max(|a|, |b|), ABS_TOL)``.
 
-    None unless the runs differ in their numbers alone: same argv and exit
-    status, and the same text between numbers in stdout and stderr.
+    At 1 or less, ``_same_tokens`` accepts each line of one run against the
+    other.  None unless the runs differ in their numbers alone: same argv and
+    exit status, and the same text between numbers in stdout and stderr.
     """
     if old["argv"] != new["argv"] or old["exit"] != new["exit"]:
         return None
@@ -265,12 +277,13 @@ def largest_relative_move(old: dict, new: dict) -> float | None:
             return None
         for a, b in pairs:
             if a != b:
-                largest = max(largest, abs(a - b) / max(abs(a), abs(b)))
+                tolerance = max(REL_TOL * max(abs(a), abs(b)), ABS_TOL)
+                largest = max(largest, abs(a - b) / tolerance)
     return largest
 
 
 def regenerate() -> None:
-    """Rewrite every golden, printing ``moved <name>`` for each whose content changed."""
+    """Rewrite each golden whose content changed, printing ``moved <name>`` for it."""
     for stale in set(GOLDEN_DIR.glob("*.json")) - {FINGERPRINT}:
         if stale.stem not in COMMANDS:
             stale.unlink()
@@ -279,11 +292,11 @@ def regenerate() -> None:
         path = GOLDEN_DIR / f"{name}.json"
         old = load(path) if path.exists() else None
         result = run(argv)
-        relative = None if old is None else largest_relative_move(old, result)
+        move = None if old is None else largest_relative_move(old, result)
         for stream in ("stdout", "stderr"):
             result[stream] = result[stream].splitlines(keepends=True)
         if _dump(path, result):
-            numbers = "" if relative is None else f" (numbers only, largest relative move {relative:.2g})"
+            numbers = "" if move is None else f" (numbers only, {move:.2g} of the tolerance)"
             print(f"moved {name}{numbers}")
             moved += 1
     _dump(FINGERPRINT, fingerprint())

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -36,6 +37,24 @@ from scorefit.fileio import MAX_MATRIX_ROWS, _assemble
 
 sys.path.insert(0, str(Path(__file__).parent / "golden"))
 import regen  # noqa: E402
+
+# Every finite float, and often the signed zero and the ends of the
+# subnormal, normal and finite ranges.
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([
+    -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308,
+])
+
+
+@st.composite
+def _symmetric_matrices(draw):
+    p = draw(st.integers(1, 8))
+    upper = np.triu_indices(p)
+    values = np.empty((p, p))
+    values[upper] = draw(st.lists(_FINITE, min_size=len(upper[0]), max_size=len(upper[0])))
+    values.T[upper] = values[upper]
+    return CorrelationMatrix(values)
+
 
 # Independent transcription of the bundled data, compared field by field
 # against what the package embeds.
@@ -122,12 +141,15 @@ class TestParseMatrix:
         path.write_text("1.0\n")
         assert parse_matrix(path).p == 1
 
-    def test_full_symmetric_round_trip(self, tmp_path):
-        sigma = build_parallel_sigma(0.36, 6)
-        path = tmp_path / "full.csv"
-        write_matrix(path, sigma)
-        parsed = parse_matrix(path)
-        assert np.abs(parsed.values - sigma.values).max() <= 1e-9
+    @settings(derandomize=True, max_examples=75, deadline=None)
+    @given(sigma=_symmetric_matrices())
+    def test_full_symmetric_round_trip(self, sigma):
+        # write_matrix writes repr, so parse_matrix reads back every bit.
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder, "full.csv")
+            write_matrix(path, sigma)
+            parsed = parse_matrix(path)
+        assert np.array_equal(parsed.values.view(np.uint64), sigma.values.view(np.uint64))
 
     @pytest.mark.parametrize("sep,text", [
         ("comma", "1.0, 0.5\n0.5, 1.0\n"),
@@ -305,6 +327,15 @@ class TestParseLoadings:
         path.write_text("0.5\n0.6\n")
         with pytest.raises(MatrixParseError, match="do not match"):
             parse_loadings(path, expected_p=3)
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(loadings=st.lists(_FINITE, min_size=1, max_size=8))
+    def test_repr_lines_round_trip(self, loadings):
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder, "loadings.txt")
+            path.write_text("".join(f"{v!r}\n" for v in loadings))
+            parsed = parse_loadings(path)
+        assert np.array_equal(parsed.view(np.uint64), np.array(loadings).view(np.uint64))
 
     def test_bundled_loadings_file_round_trip(self, tmp_path, stai_lam):
         path = tmp_path / "stai_loadings.txt"
@@ -1138,24 +1169,50 @@ def _freed_block_on_the_heap_top():
         mallopt(m_trim_threshold, 128 << 10)
 
 
-@pytest.mark.skipif(_glibc_mallinfo2() is None, reason="needs glibc's mallinfo2")
-def test_main_returns_freed_heap_pages(tmp_path, capsys):
-    # A residual report of 1 MiB or more: main hands the freed block back.
+def _large_report_argv(folder: Path) -> list:
+    """A p = 100 fit-check whose residual CSV is 1 MiB or more: one that main trims after."""
     p, rng = 100, np.random.default_rng(27)
     lam = rng.uniform(0.3, 0.8, p)
     noise = np.triu(rng.uniform(-0.02, 0.02, (p, p)), 1)
     sigma = np.outer(lam, lam) + noise + noise.T
     np.fill_diagonal(sigma, 1.0)
-    write_matrix(tmp_path / "matrix.txt", CorrelationMatrix(sigma))
-    (tmp_path / "loadings.txt").write_text("".join(f"{v!r}\n" for v in lam.tolist()))
-    argv = [
-        "fit-check", "--matrix", str(tmp_path / "matrix.txt"), "--loadings",
-        str(tmp_path / "loadings.txt"), "--reflective", "--residuals", "--format", "csv",
+    write_matrix(folder / "matrix.txt", CorrelationMatrix(sigma))
+    (folder / "loadings.txt").write_text("".join(f"{v!r}\n" for v in lam.tolist()))
+    return [
+        "fit-check", "--matrix", str(folder / "matrix.txt"), "--loadings",
+        str(folder / "loadings.txt"), "--reflective", "--residuals", "--format", "csv",
     ]
+
+
+@pytest.mark.skipif(_glibc_mallinfo2() is None, reason="needs glibc's mallinfo2")
+def test_main_returns_freed_heap_pages(tmp_path, capsys):
+    # A residual report of 1 MiB or more: main hands the freed block back.
+    argv = _large_report_argv(tmp_path)
     with _freed_block_on_the_heap_top() as mallinfo2:
         assert main(argv) == 0
         assert mallinfo2().keepcost < 1 << 20
     assert len(capsys.readouterr().out) >= cli.TRIM_AFTER_CHARS
+
+
+def test_main_writes_a_large_report_where_no_c_library_loads(tmp_path, capsys, monkeypatch):
+    # Where ctypes cannot load the C library, main has no malloc_trim to call
+    # and writes the report as it would have.
+    argv = _large_report_argv(tmp_path)
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    assert len(expected) >= cli.TRIM_AFTER_CHARS
+
+    def no_c_library(*args, **kwargs):
+        raise OSError("no C library")
+
+    monkeypatch.setattr(ctypes, "CDLL", no_c_library)
+    cli._malloc_trim.cache_clear()
+    try:
+        assert main(argv) == 0
+        assert cli._malloc_trim() is None
+    finally:
+        cli._malloc_trim.cache_clear()
+    assert capsys.readouterr().out == expected
 
 
 @pytest.mark.skipif(_glibc_mallinfo2() is None, reason="needs glibc's mallinfo2")

@@ -223,6 +223,17 @@ class TestMinP:
         target = srmr_parallel_closed_form(0.5, 17)
         assert min_p_for_srmr(target, 0.5) == 17
 
+    def test_walks_up_where_the_estimate_falls_short(self):
+        # Near p = 8e15 the closed form at the start estimate ceil(2 x^2),
+        # x = (1 - r) / target, is still above the target: the answer is one up.
+        target, r = 6.433870768086824e-09, 0.588961823060173
+        x = (1.0 - r) / target
+        start = math.ceil(2.0 * x * x)
+        assert min_p_for_srmr(target, r) == start + 1 == 8162997254518692
+        assert srmr_parallel_closed_form(r, start + 1) <= target
+        # The start fails, so start + 1 is minimal (the form decreases from p = 3).
+        assert srmr_parallel_closed_form(r, start) > target
+
     def test_errors(self):
         with pytest.raises(ValidationError):
             min_p_for_srmr(0.0, 0.5)

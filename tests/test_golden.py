@@ -54,10 +54,19 @@ def test_mismatch_names_the_first_difference(monkeypatch):
 def test_largest_relative_move_reads_numbers_only():
     old = {"argv": ["x"], "exit": 0, "stdout": "mean 0.25 sd 2e-3\n", "stderr": ""}
     assert regen.largest_relative_move(old, old) == 0.0
+    # A move reads as a fraction of the token-mode tolerance, 1e-12 relative here.
     moved = dict(old, stdout="mean 0.25 sd 0.0020000000000000005\n")
     ulp = 0.0020000000000000005 - 2e-3
     assert ulp > 0
-    assert regen.largest_relative_move(old, moved) == ulp / 0.0020000000000000005
+    assert regen.largest_relative_move(old, moved) == ulp / (1e-12 * 0.0020000000000000005)
+    # Near zero the 1e-15 floor holds: a 4.4e-16 move on a 3e-6 residual, as
+    # between one BLAS thread and two, reads at most 1, and a 2e-15 move above 1,
+    # just as _same_tokens accepts the one and rejects the other.
+    residual = dict(old, stdout="residual 3e-06\n")
+    for move, accepted in ((4.4e-16, True), (2e-15, False)):
+        new = dict(residual, stdout=f"residual {3e-06 + move!r}\n")
+        assert (regen.largest_relative_move(residual, new) <= 1) is accepted
+        assert regen._same_tokens(new["stdout"], residual["stdout"]) is accepted
     for other in (dict(old, stdout="mean 0.25 SD 2e-3\n"), dict(old, exit=1),
                   dict(old, stderr="warning 1\n"), dict(old, stdout="mean 0.25\n")):
         assert regen.largest_relative_move(old, other) is None

@@ -27,16 +27,35 @@ def _stdout(argv: list) -> str:
     return stdout.getvalue()
 
 
-def _fit_check(folder: Path, sigma: np.ndarray, loadings: np.ndarray | None) -> dict:
+def _fit_check(sigma: np.ndarray, loadings: np.ndarray | None) -> dict:
     """Each model's SRMR and residuals, by model, from one JSON report: all
-    three models with loadings, the unit-weighted one without."""
-    write_matrix(folder / "matrix.txt", CorrelationMatrix(sigma))
-    argv = ["fit-check", "--matrix", str(folder / "matrix.txt"), "--residuals", "--format", "json"]
-    if loadings is not None:
-        (folder / "loadings.txt").write_text("".join(f"{v!r}\n" for v in loadings.tolist()))
-        argv += ["--loadings", str(folder / "loadings.txt"), "--reflective"]
-    fits = json.loads(_stdout(argv))["fits"]
+    three models with loadings, the unit-weighted one without.
+
+    Each input is written once, into a directory of its own: a directory whose
+    files had been written twice took far longer to delete.
+    """
+    with tempfile.TemporaryDirectory() as name:
+        folder = Path(name)
+        write_matrix(folder / "matrix.txt", CorrelationMatrix(sigma))
+        argv = ["fit-check", "--matrix", str(folder / "matrix.txt"), "--residuals", "--format", "json"]
+        if loadings is not None:
+            (folder / "loadings.txt").write_text("".join(f"{v!r}\n" for v in loadings.tolist()))
+            argv += ["--loadings", str(folder / "loadings.txt"), "--reflective"]
+        fits = json.loads(_stdout(argv))["fits"]
+    models = ["unit_weighted", "factor_score", "reflective"][: 1 if loadings is None else 3]
+    assert [fit["model"] for fit in fits] == models
     return {fit["model"]: (fit["srmr"], np.array(fit["residuals"])) for fit in fits}
+
+
+def _assert_same_fit(after: dict, before: dict, residuals) -> None:
+    """Every model's SRMR is unchanged, and its residual matrix in ``after`` is
+    ``residuals`` of the one in ``before``."""
+    for model, (value, before_residuals) in before.items():
+        after_value, after_residuals = after[model]
+        assert math.isclose(after_value, value, rel_tol=1e-12, abs_tol=1e-15), model
+        np.testing.assert_allclose(
+            after_residuals, residuals(before_residuals), rtol=1e-12, atol=1e-14, err_msg=model
+        )
 
 
 @st.composite
@@ -63,16 +82,8 @@ def test_permuting_indicators_permutes_every_report(case):
     # P Sigma P' with P lambda is the same data with the items reordered: every
     # model's SRMR is unchanged and its residual matrix is P R P'.
     sigma, lam, perm, _ = case
-    with tempfile.TemporaryDirectory() as folder:
-        before = _fit_check(Path(folder), sigma, lam)
-        after = _fit_check(Path(folder), sigma[np.ix_(perm, perm)], lam[perm])
-    assert list(after) == ["unit_weighted", "factor_score", "reflective"]
-    for model, (value, residuals) in before.items():
-        permuted_value, permuted_residuals = after[model]
-        assert math.isclose(permuted_value, value, rel_tol=1e-12, abs_tol=1e-15), model
-        np.testing.assert_allclose(
-            permuted_residuals, residuals[np.ix_(perm, perm)], rtol=1e-12, atol=1e-14, err_msg=model
-        )
+    after = _fit_check(sigma[np.ix_(perm, perm)], lam[perm])
+    _assert_same_fit(after, _fit_check(sigma, lam), lambda r: r[np.ix_(perm, perm)])
 
 
 @settings(derandomize=True, max_examples=50, deadline=None)
@@ -82,17 +93,8 @@ def test_reflecting_indicators_reflects_every_report(case):
     # the unit-weighted scale reverses them too, so every model's SRMR is
     # unchanged and its residual matrix is D R D.
     sigma, lam, _, signs = case
-    with tempfile.TemporaryDirectory() as folder:
-        before = _fit_check(Path(folder), sigma, lam)
-        after = _fit_check(Path(folder), sigma * np.outer(signs, signs), lam * signs)
-    assert list(after) == ["unit_weighted", "factor_score", "reflective"]
-    for model, (value, residuals) in before.items():
-        reflected_value, reflected_residuals = after[model]
-        assert math.isclose(reflected_value, value, rel_tol=1e-12, abs_tol=1e-15), model
-        np.testing.assert_allclose(
-            reflected_residuals, residuals * np.outer(signs, signs), rtol=1e-12, atol=1e-14,
-            err_msg=model,
-        )
+    after = _fit_check(sigma * np.outer(signs, signs), lam * signs)
+    _assert_same_fit(after, _fit_check(sigma, lam), lambda r: r * np.outer(signs, signs))
 
 
 @settings(derandomize=True, max_examples=50, deadline=None)
@@ -108,14 +110,8 @@ def test_rescaling_indicators_leaves_every_report(case, decades, with_loadings):
     sigma, lam, _, _ = case
     scale = 10.0 ** np.array(decades[: len(lam)])
     loadings = lam if with_loadings else None
-    with tempfile.TemporaryDirectory() as folder:
-        before = _fit_check(Path(folder), sigma, loadings)
-        after = _fit_check(Path(folder), sigma * np.outer(scale, scale), loadings)
-    assert list(after) == list(before)
-    for model, (value, residuals) in before.items():
-        scaled_value, scaled_residuals = after[model]
-        assert math.isclose(scaled_value, value, rel_tol=1e-12, abs_tol=1e-15), model
-        np.testing.assert_allclose(scaled_residuals, residuals, rtol=1e-12, atol=1e-14, err_msg=model)
+    after = _fit_check(sigma * np.outer(scale, scale), loadings)
+    _assert_same_fit(after, _fit_check(sigma, loadings), lambda r: r)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e100, 1e300])
