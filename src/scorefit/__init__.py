@@ -50,7 +50,7 @@ from .simulation import (
     sample_correlation,
 )
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 __all__ = [
     "CorrelationMatrix",

@@ -21,6 +21,7 @@ from ._numpy import np
 from .errors import NearSingularMatrixWarning, ScorefitError, SingularMatrixError, ValidationError
 from .fileio import parse_loadings, parse_matrix
 from .fit import (
+    _inverse_sds,
     min_p_for_srmr,
     required_r_curve,
     solve_r_for_srmr,
@@ -183,27 +184,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_input(name: str, label: str, path, parse, **options):
+    """``parse(path, **options)`` and its echo: ``name`` as ``label``, then the
+    SHA-256 of the bytes parsed."""
+    digest = hashlib.sha256()
+    value = parse(path, digest=digest, **options)
+    return value, [(name, label), (f"{name}_sha256", digest.hexdigest())]
+
+
 def _cmd_fit_check(args) -> ReportDocument:
+    # Each input file is read as (echo label, path); the demo names its own two.
     if args.demo:
-        source, checksums = f"demo:{args.demo}", datasets.stai_checksums()
-        sigma = datasets.stai_correlation_matrix()
-        inputs = [("matrix", source), ("matrix_sha256", checksums["matrix"])]
+        source = f"demo:{args.demo}"
+        matrix_input = (source, datasets.STAI_MATRIX_PATH)
+        loadings_input = (source, datasets.STAI_LOADINGS_PATH)
     else:
-        source, matrix_digest = str(Path(args.matrix)), hashlib.sha256()
-        sigma = parse_matrix(source, digest=matrix_digest)
-        inputs = [("matrix", source), ("matrix_sha256", matrix_digest.hexdigest())]
+        source = str(Path(args.matrix))
+        matrix_input, loadings_input = (source, source), None
+    if args.loadings is not None:
+        loadings_input = (str(Path(args.loadings)),) * 2
+    sigma, inputs = _read_input("matrix", *matrix_input, parse_matrix)
     inputs.append(("p", str(sigma.p)))
 
     # The loadings are standardized, so every model is scored on the correlation
     # metric: a covariance matrix becomes D^-1/2 Sigma D^-1/2 first.
     variances = np.diagonal(sigma.values)
     if not (variances == 1.0).all():
-        if not (variances > 0.0).all():
-            i = int(np.argmin(variances > 0.0))
-            raise ValidationError(
-                f"{source}: variance of indicator {i} is {variances[i]:g}, not positive"
-            )
-        s = 1.0 / np.sqrt(variances)
+        s = _inverse_sds(variances, f"{source}: ")
         # Sigma_ij * s_i * s_j, left to right: no product of two variances, so
         # entries near 1e308 do not overflow.  An entry far above its variances
         # (a matrix that is no covariance) may; it is then rejected as non-finite.
@@ -213,18 +220,10 @@ def _cmd_fit_check(args) -> ReportDocument:
         sigma = CorrelationMatrix(values)
         inputs.append(("metric", "covariance, rescaled to correlation"))
 
-    if args.loadings is not None:
-        loadings_path, loadings_digest = Path(args.loadings), hashlib.sha256()
-        loadings = parse_loadings(loadings_path, expected_p=sigma.p, digest=loadings_digest)
-        inputs += [
-            ("loadings", str(loadings_path)),
-            ("loadings_sha256", loadings_digest.hexdigest()),
-        ]
-    elif args.demo:
-        loadings = datasets.stai_loadings()
-        inputs += [("loadings", source), ("loadings_sha256", checksums["loadings"])]
-    else:
-        loadings = None
+    loadings = None
+    if loadings_input is not None:
+        loadings, echo = _read_input("loadings", *loadings_input, parse_loadings, expected_p=sigma.p)
+        inputs += echo
 
     if args.reflective and loadings is None:
         raise ValidationError("--reflective requires loadings")

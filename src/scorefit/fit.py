@@ -40,12 +40,25 @@ def _srmr_from_squares(squares: np.ndarray) -> np.ndarray:
     return np.sqrt(total / (p * (p + 1)))
 
 
+def _inverse_sds(variances: np.ndarray, where: str = "") -> np.ndarray:
+    """``1/sqrt(variances)``; a variance that is not positive raises, naming its indicator."""
+    if not (variances > 0.0).all():
+        i = int(np.argmin(variances > 0.0))
+        raise ValidationError(f"{where}variance of indicator {i} is {variances[i]:g}, not positive")
+    return 1.0 / np.sqrt(variances)
+
+
 def srmr(sigma: CorrelationMatrix, sigma_model: CorrelationMatrix) -> FitReport:
     """Standardized root mean square residual between two covariance matrices.
 
-    The residual is ``sigma - sigma_model``; swapping the arguments leaves the
-    value unchanged.  Identical matrices give exactly zero.  Residuals too
-    large to square in binary64 raise :class:`ValidationError`.
+    ``sigma`` is the observed matrix.  The residual ``sigma - sigma_model`` is
+    standardized by its variances, as Hu and Bentler (1999) define the SRMR:
+    entry (i, j) is scaled by ``s_i s_j``, ``s = 1/sqrt(diag(sigma))``, so the
+    value is invariant to the units of each indicator, and on a correlation
+    matrix the scale is exactly 1.  Swapping the arguments leaves the value
+    unchanged when the two diagonals match.  Identical matrices give exactly
+    zero.  A variance that is not positive, or standardized residuals too
+    large to square in binary64, raise :class:`ValidationError`.
     """
     if sigma.p != sigma_model.p:
         raise DimensionError(
@@ -53,8 +66,12 @@ def srmr(sigma: CorrelationMatrix, sigma_model: CorrelationMatrix) -> FitReport:
         )
     if sigma.p == 0:
         raise DimensionError("SRMR needs at least one indicator, got 0x0 matrices")
+    s = _inverse_sds(np.diagonal(sigma.values))
     with np.errstate(over="ignore"):
         resid = sigma.values - sigma_model.values
+        # r_ij * s_i * s_j, left to right, as fit-check rescales a covariance.
+        resid *= s[:, None]
+        resid *= s
         value = float(_srmr_from_squares(resid * resid))
     if not math.isfinite(value):
         raise ValidationError("the SRMR is not finite: the residuals are too large to square")

@@ -64,9 +64,13 @@ def _symmetrized(arr: np.ndarray, subject: str) -> np.ndarray:
     Entry (i, j) must satisfy ``|m_ij - m_ji| <= SYMMETRY_TOL * max(1, sqrt|m_ii m_jj|)``,
     its own scale, so one large variance does not loosen the check elsewhere.
     ``M/2 + M'/2`` cannot overflow and equals ``(M + M')/2`` in the normal range.
+    Where no entry differs from its mirror by more than ``SYMMETRY_TOL``, at
+    most two new p x p arrays are held at once: ``|M - M'|`` in one buffer,
+    dropped before halving, then ``M/2`` and the result.
     """
     with np.errstate(over="ignore"):  # +-1e308 pairs: inf, and rejected below
-        diff = np.abs(arr - arr.T)
+        diff = np.subtract(arr, arr.T)
+        np.abs(diff, out=diff)
     if diff.size and diff.max() > SYMMETRY_TOL:
         # At or below SYMMETRY_TOL every entry passes.  The outer product cannot overflow.
         root = np.sqrt(np.abs(np.diagonal(arr)))
@@ -77,6 +81,7 @@ def _symmetrized(arr: np.ndarray, subject: str) -> np.ndarray:
                 f"{subject} asymmetric: |m[{i},{j}] - m[{j},{i}]| = {diff[i, j]:.3e} exceeds "
                 f"{SYMMETRY_TOL:g} * max(1, sqrt|m[{i},{i}] m[{j},{j}]|) = {bound[i, j]:.3e}"
             )
+    del diff
     half = arr / 2.0
     return half + half.T
 

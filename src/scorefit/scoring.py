@@ -14,7 +14,7 @@ Their agreement on regression weights is a cross-check, not a shared code path.
 from __future__ import annotations
 
 from ._numpy import np
-from .errors import DimensionError
+from .errors import DimensionError, ValidationError
 from .model import CorrelationMatrix, FactorModel, _as_columns, spd_solve
 
 
@@ -63,12 +63,13 @@ def score_model_implied_sigma(sigma: CorrelationMatrix, weights) -> CorrelationM
     """
     weights = _as_columns(weights, "weights")
     _check_same_p(sigma, weights.shape[0], "weight matrix")
-    # Sums of entries near the binary64 limit overflow here.  srmr rejects such
-    # a Sigma (its residuals are too large to square), so numpy's overflow
-    # warning would only precede that error.
+    # Sums of entries near the binary64 limit overflow here.  Such a B' Sigma B
+    # is rejected below, so numpy's overflow warning would only precede that error.
     with np.errstate(over="ignore", invalid="ignore"):
         cross = sigma.values @ weights  # Sigma B
         gram = weights.T @ cross  # B' Sigma B
+        if not np.isfinite(gram).all():
+            raise ValidationError("B' Sigma B is not finite: the entries are too large to sum")
         implied = cross @ spd_solve(gram, cross.T)
     return CorrelationMatrix(implied)
 

@@ -82,9 +82,9 @@ _BLOCK_ELEMENTS = 2**15
 # of the default grid, both patterns, would take about an hour and a half
 # (0.078 s per 1000 on a 2-vCPU Xeon VM, one BLAS thread).  Every distinct
 # (l, p) population keeps its p x p Cholesky factor for the whole call, and
-# the call's buffers hold four more p x p arrays at most.  Building one population takes six
+# the call's buffers hold four more p x p arrays at most.  Building one population takes five
 # p x p arrays at once, so 2**24 entries in all (p = 4096 alone) peak at about
-# 0.75 GiB (tracemalloc, scaled from p = 2048).
+# 0.63 GiB (tracemalloc: 5.00 p x p arrays at p = 1024 and at 2048, scaled).
 MAX_REPLICATIONS = 2**26
 MAX_POPULATION_ENTRIES = 2**24
 

@@ -57,7 +57,7 @@ def _symmetric_matrices(draw):
 
 
 # Independent transcription of the bundled data, compared field by field
-# against what the package embeds.
+# against what the package reads from its two data files.
 STAI_TRIANGLE_REFERENCE = (
     (1.000,),
     (0.159, 1.000),
@@ -90,7 +90,7 @@ STAI_MATRIX_SHA256 = "a4844f04c60146a0cee98a11fcb88375b95b73251a41ae0d855b0cc256
 STAI_LOADINGS_SHA256 = "99512d649993c9679dcf4b12b01cd149cf485961d586cd30be6253450c13f1ee"
 
 
-class TestEmbeddedDataset:
+class TestBundledDataset:
     def test_matrix_matches_reference_transcription(self, stai_sigma):
         for i, row in enumerate(STAI_TRIANGLE_REFERENCE):
             for j, value in enumerate(row):
@@ -102,27 +102,31 @@ class TestEmbeddedDataset:
         assert stai_lam[0] == 0.553 and stai_lam[-1] == 0.548
         assert stai_lam.size == 20
 
-    def test_checksums_are_stable(self):
-        sums = datasets.stai_checksums()
-        assert sums["matrix"] == STAI_MATRIX_SHA256
-        assert sums["loadings"] == STAI_LOADINGS_SHA256
+    def test_bundled_files_hash_to_the_echoed_checksums(self):
+        assert hashlib.sha256(datasets.STAI_MATRIX_PATH.read_bytes()).hexdigest() == STAI_MATRIX_SHA256
+        assert hashlib.sha256(datasets.STAI_LOADINGS_PATH.read_bytes()).hexdigest() == STAI_LOADINGS_SHA256
 
     def test_well_known_entries(self, stai_sigma):
         assert stai_sigma.values[1, 0] == 0.159
         assert stai_sigma.values[19, 18] == 0.443
 
-    def test_matrix_equals_the_file_parser_bitwise(self, tmp_path):
-        path = tmp_path / "stai.txt"
-        path.write_text(datasets.STAI_LOWER_TRIANGLE)
-        assert np.array_equal(
-            datasets.stai_correlation_matrix().values, parse_matrix(path).values
-        )
+    def test_demo_reports_as_its_two_files_do(self, capsys):
+        # --demo stai is --matrix and --loadings on the bundled files, echoed
+        # under the label demo:stai.
+        tail = ["--reflective", "--residuals", "--format", "csv"]
+        assert main(["fit-check", "--demo", "stai", *tail]) == 0
+        demo = capsys.readouterr().out
+        files = [str(datasets.STAI_MATRIX_PATH), str(datasets.STAI_LOADINGS_PATH)]
+        assert main(["fit-check", "--matrix", files[0], "--loadings", files[1], *tail]) == 0
+        for path in files:
+            demo = demo.replace("=demo:stai\n", f"={path}\n", 1)
+        assert demo == capsys.readouterr().out
 
 
 class TestParseMatrix:
     def test_lower_triangle_auto_detect(self, tmp_path, stai_sigma):
         path = tmp_path / "stai.txt"
-        path.write_text("* lower triangle\n" + datasets.STAI_LOWER_TRIANGLE)
+        path.write_text("* lower triangle\n" + datasets.STAI_MATRIX_PATH.read_text())
         parsed = parse_matrix(path)
         assert parsed.p == 20
         assert parsed.values[1, 0] == 0.159

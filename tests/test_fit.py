@@ -60,26 +60,48 @@ class TestSrmr:
 
     @pytest.mark.parametrize("p", [1, 2, 24])
     def test_stacked_residuals_match_srmr_bitwise(self, p):
-        # The kernel scores a (reps, p, p) stack exactly as srmr() scores each
-        # slice, bit for bit: simulate and fit-check share it.
+        # The kernel scores a (reps, p, p) stack of standardized residuals
+        # exactly as srmr() scores each slice, bit for bit: simulate and
+        # fit-check share it.  The observed variances are not all 1.
         rng = np.random.default_rng(p)
         pairs = []
         for _ in range(7):
             a, b = rng.uniform(-1.0, 1.0, (2, p, p))
-            pairs.append((CorrelationMatrix(a + a.T), CorrelationMatrix(b + b.T)))
-        stack = np.array([a.values - b.values for a, b in pairs])
+            a, b = a + a.T, b + b.T
+            np.fill_diagonal(a, rng.uniform(0.25, 4.0, p))
+            pairs.append((CorrelationMatrix(a), CorrelationMatrix(b)))
+        stack = []
+        for a, b in pairs:
+            s = 1.0 / np.sqrt(np.diagonal(a.values))
+            stack.append((a.values - b.values) * s[:, None] * s)
+        stack = np.array(stack)
         reports = [srmr(a, b) for a, b in pairs]
         expected = np.array([report.srmr for report in reports])
         assert np.array_equal(_srmr_from_squares(stack * stack), expected)
-        # srmr() squares a copy: its residuals are left as they were.
+        # srmr() squares a copy: its residuals are the standardized ones, unsquared.
         assert all(np.array_equal(r.residuals, s) for r, s in zip(reports, stack))
 
-    @pytest.mark.parametrize("diagonal, other", [(1e200, 1.0), (1e308, -1e308)])
-    def test_residuals_too_large_to_square_raise(self, diagonal, other):
-        sigma = CorrelationMatrix([[diagonal, 0.5], [0.5, diagonal]])
+    @pytest.mark.parametrize("observed, other", [(1.0, 1e200), (1e308, -1e308)])
+    def test_residuals_too_large_to_square_raise(self, observed, other):
+        # Standardized by the observed variances, the residual is about 1e200
+        # in the first case and infinite in the second.
+        sigma = CorrelationMatrix([[observed, 0.5], [0.5, observed]])
         model = CorrelationMatrix([[other, 0.5], [0.5, other]])
         with pytest.raises(ValidationError, match="SRMR is not finite"):
             srmr(sigma, model)
+
+    def test_residuals_are_standardized_by_the_observed_variances(self):
+        # A residual of 1e200 on a variance of 1e200 is a standardized residual
+        # of 1 (to rounding), so the SRMR is sqrt((2 + 2) / 6).
+        sigma = CorrelationMatrix([[1e200, 0.5], [0.5, 1e200]])
+        model = CorrelationMatrix([[1.0, 0.5], [0.5, 1.0]])
+        assert srmr(sigma, model).srmr == pytest.approx(math.sqrt(2.0 / 3.0), rel=1e-15)
+
+    @pytest.mark.parametrize("variance", [0.0, -2.5])
+    def test_a_variance_that_is_not_positive_raises(self, variance):
+        sigma = CorrelationMatrix([[1.0, 0.0, 0.0], [0.0, variance, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(ValidationError, match=f"^variance of indicator 1 is {variance:g}, not positive$"):
+            srmr(sigma, CorrelationMatrix(np.eye(3)))
 
 
 class TestFitReport:

@@ -1,7 +1,8 @@
-"""Metamorphic properties of ``fit-check``, run through ``main``.
+"""Metamorphic properties of ``fit-check``, run through ``main``, and of the
+library's ``srmr()``.
 
-Each property runs the CLI on two related inputs and checks the relation the
-model algebra says must hold between the two reports.
+Each property runs the CLI or the library on two related inputs and checks the
+relation the model algebra says must hold between the two results.
 """
 
 import contextlib
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from scorefit import CorrelationMatrix, write_matrix
+from scorefit import CorrelationMatrix, score_model_implied_sigma, srmr, write_matrix
 from scorefit.cli import main
 
 
@@ -124,3 +125,39 @@ def test_a_singular_matrix_is_noted_at_any_scale(tmp_path, scale):
     lines = _stdout(["fit-check", "--matrix", str(path)]).splitlines()
     assert "  unit_weighted  SRMR = 0.0000" in lines
     assert lines[-1].startswith(f"  warning [unit_weighted]: {path}: matrix is not positive definite")
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(case=_one_factor_with_noise(), decades=st.lists(st.floats(-100.0, 100.0), min_size=8, max_size=8))
+def test_library_srmr_is_invariant_to_the_units_of_each_indicator(case, decades):
+    # srmr(D Sigma D, D M D) = srmr(Sigma, M) for a positive diagonal D: the
+    # residuals are standardized by the observed variances.
+    sigma, _, _, _ = case
+    model = score_model_implied_sigma(CorrelationMatrix(sigma), np.ones(len(sigma))).values
+    scale = 10.0 ** np.array(decades[: len(sigma)])
+    outer = np.outer(scale, scale)
+    before = srmr(CorrelationMatrix(sigma), CorrelationMatrix(model)).srmr
+    after = srmr(CorrelationMatrix(sigma * outer), CorrelationMatrix(model * outer)).srmr
+    assert math.isclose(after, before, rel_tol=1e-12)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(case=_one_factor_with_noise(), decades=st.lists(st.floats(-100.0, 100.0), min_size=8, max_size=8))
+def test_library_srmr_is_symmetric_when_the_diagonals_match(case, decades):
+    # Both orders standardize by the same variances, so the residuals differ
+    # in sign alone and the two values agree bit for bit.
+    sigma, lam, _, _ = case
+    scale = 10.0 ** np.array(decades[: len(lam)])
+    outer = np.outer(scale, scale)
+    observed, model = sigma * outer, np.outer(lam, lam) * outer
+    np.fill_diagonal(model, np.diagonal(observed))
+    observed, model = CorrelationMatrix(observed), CorrelationMatrix(model)
+    assert srmr(observed, model).srmr == srmr(model, observed).srmr
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e100, 1e300])
+def test_library_srmr_of_a_singular_matrix_reads_as_at_scale_one(scale):
+    # All four entries equal: the unit-weighted model reproduces it, and only
+    # rounding noise, of the order of the entries, is left in the residual.
+    sigma = CorrelationMatrix(np.full((2, 2), scale))
+    assert srmr(sigma, score_model_implied_sigma(sigma, np.ones(2))).srmr <= 1e-15

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -70,6 +71,23 @@ class TestCorrelationMatrix:
         cm = CorrelationMatrix(np.eye(3))
         with pytest.raises(ValueError):
             cm.values[0, 0] = 2.0
+
+    def test_a_build_holds_two_new_arrays_at_most(self):
+        # |M - M'| is taken in one buffer and dropped before M/2 and the result
+        # are made; a third p x p array at once (as a separate abs() of the
+        # difference, or a difference kept alive while halving) fails this.
+        p = 256
+        upper = np.triu(_seeded_correlation(p))
+        values = upper + np.triu(upper, 1).T  # bitwise symmetric
+        CorrelationMatrix(values[:2, :2])  # warm-up
+        tracemalloc.start()
+        try:
+            built = CorrelationMatrix(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(built.values, values)
+        assert 2 * p * p * 8 <= peak < 2.5 * p * p * 8
 
 
 _NORMAL_HALVES = 2.0 * np.finfo(float).tiny  # below this, x / 2 rounds

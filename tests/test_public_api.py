@@ -13,7 +13,7 @@ import scorefit
 
 ROOT = Path(__file__).resolve().parents[1]
 
-VERSION = "0.13.0"
+VERSION = "0.14.0"
 
 PUBLIC_NAMES = [
     "CorrelationMatrix",

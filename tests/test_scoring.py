@@ -16,7 +16,6 @@ from scorefit import (
     population_correlation,
     regression_weights,
     score_model_implied_sigma,
-    srmr,
 )
 
 
@@ -125,15 +124,15 @@ class TestLargeCovariance:
             implied = fs_implied_sigma(sigma, FactorModel.from_standardized_loadings(self.LOADINGS))
         assert np.array_equal(implied.values, implied.values.T)
 
-    def test_entries_that_overflow_fail_in_srmr_without_a_numpy_warning(self):
+    def test_entries_that_overflow_raise_without_a_numpy_warning(self):
         # B' Sigma B overflows at 1e308; numpy's overflow warning is silenced
-        # where it starts, and srmr rejects the result.
+        # where it starts, and the sum is rejected: scored as computed, it
+        # gives an all-zero implied matrix, whose standardized SRMR is finite.
         sigma = CorrelationMatrix([[1e308, 0.5, 0.2], [0.5, 1e308, 0.3], [0.2, 0.3, 1e308]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            implied = score_model_implied_sigma(sigma, np.ones(3))
-            with pytest.raises(ValidationError, match="the SRMR is not finite"):
-                srmr(sigma, implied)
+            with pytest.raises(ValidationError, match="^B' Sigma B is not finite"):
+                score_model_implied_sigma(sigma, np.ones(3))
 
 
 class TestScoreModelImpliedSigma:
