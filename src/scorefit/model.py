@@ -63,27 +63,26 @@ def _symmetrized(arr: np.ndarray, subject: str) -> np.ndarray:
 
     Entry (i, j) must satisfy ``|m_ij - m_ji| <= SYMMETRY_TOL * max(1, sqrt|m_ii m_jj|)``,
     its own scale, so one large variance does not loosen the check elsewhere.
-    ``M/2 + M'/2`` cannot overflow and equals ``(M + M')/2`` in the normal range.
-    Where no entry differs from its mirror by more than ``SYMMETRY_TOL``, at
-    most two new p x p arrays are held at once: ``|M - M'|`` in one buffer,
-    dropped before halving, then ``M/2`` and the result.
+    It is judged on the gap ``|M/2 - M'/2|``, which cannot overflow, and the error names the
+    first failing entry in row-major order.  ``M/2 + M'/2`` equals ``(M + M')/2`` in the
+    normal range.  Where no entry is off its mirror by more than ``SYMMETRY_TOL``, at most
+    two new p x p arrays are held at once: ``M/2``, and the gap, whose buffer takes the result.
     """
-    with np.errstate(over="ignore"):  # +-1e308 pairs: inf, and rejected below
-        diff = np.subtract(arr, arr.T)
-        np.abs(diff, out=diff)
-    if diff.size and diff.max() > SYMMETRY_TOL:
+    half = arr / 2.0
+    gap = np.subtract(half, half.T)
+    np.abs(gap, out=gap)
+    if gap.size and gap.max() > SYMMETRY_TOL / 2:
         # At or below SYMMETRY_TOL every entry passes.  The outer product cannot overflow.
         root = np.sqrt(np.abs(np.diagonal(arr)))
         bound = SYMMETRY_TOL * np.maximum(1.0, np.outer(root, root))
-        i, j = np.unravel_index(np.argmax(diff / bound), diff.shape)
-        if diff[i, j] > bound[i, j]:
+        failing = np.argwhere(gap > bound / 2)
+        if failing.size:
+            i, j = failing[0]
             raise ValidationError(
-                f"{subject} asymmetric: |m[{i},{j}] - m[{j},{i}]| = {diff[i, j]:.3e} exceeds "
-                f"{SYMMETRY_TOL:g} * max(1, sqrt|m[{i},{i}] m[{j},{j}]|) = {bound[i, j]:.3e}"
+                f"{subject} asymmetric: |m[{i},{j}] - m[{j},{i}]| = {2 * float(gap[i, j]):.3e} exceeds "
+                f"{SYMMETRY_TOL:g} * max(1, sqrt|m[{i},{i}] m[{j},{j}]|) = {float(bound[i, j]):.3e}"
             )
-    del diff
-    half = arr / 2.0
-    return half + half.T
+    return np.add(half, half.T, out=gap)
 
 
 def cholesky_lower(a: np.ndarray) -> np.ndarray:

@@ -101,6 +101,12 @@ _ONCE = {
     # An off-diagonal entry too large to square: the Cholesky pivot is -inf,
     # refused without a numpy warning, and the SRMR is not finite.
     "fit-check-offdiagonal-1e200": ["fit-check", "--matrix", "offdiagonal_1e200.txt"],
+    # A full matrix whose two off-diagonal entries differ by 1e308: the
+    # symmetry check names the pair, and neither it nor its bound overflows.
+    "fit-check-asymmetric-1e308": ["fit-check", "--matrix", "asymmetric_1e308.txt"],
+    # A covariance whose off-diagonal is far above its 1e-300 variances: the
+    # rescale overflows to inf without a numpy warning, and is refused as non-finite.
+    "fit-check-rescale-overflow": ["fit-check", "--matrix", "rescale_overflow.txt"],
     # Covariance input at large scales: every model is scored on the
     # correlation rescaling, so the report matches the unscaled matrix's.
     "fit-check-covariance-1e4.csv": [

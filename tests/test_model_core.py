@@ -1,9 +1,10 @@
+import math
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scorefit import (
@@ -73,9 +74,9 @@ class TestCorrelationMatrix:
             cm.values[0, 0] = 2.0
 
     def test_a_build_holds_two_new_arrays_at_most(self):
-        # |M - M'| is taken in one buffer and dropped before M/2 and the result
-        # are made; a third p x p array at once (as a separate abs() of the
-        # difference, or a difference kept alive while halving) fails this.
+        # M/2 is made first, then |M/2 - M'/2| in one buffer that then takes
+        # the result; a third p x p array at once (as a separate abs() of the
+        # gap, or a result in a buffer of its own) fails this.
         p = 256
         upper = np.triu(_seeded_correlation(p))
         values = upper + np.triu(upper, 1).T  # bitwise symmetric
@@ -120,6 +121,59 @@ def test_symmetrization_matches_the_mean_form_for_normal_entries(m):
     halves_exactly = (m == 0.0) | (np.abs(m) >= _NORMAL_HALVES)
     same = np.isfinite(old) & halves_exactly & halves_exactly.T
     assert np.array_equal(bits[same], old.view(np.uint64)[same])
+
+
+def _plain_bound(m: list, i: int, j: int) -> float:
+    """The symmetry bound of pair (i, j), in plain Python floats."""
+    return 1e-10 * max(1.0, math.sqrt(abs(m[i][i])) * math.sqrt(abs(m[j][j])))
+
+
+def _first_asymmetric_pair(m: list) -> tuple[int, int] | None:
+    """The first (i, j), i < j in row-major order, whose pair fails the symmetry
+    bound.  A difference too large for a float is inf, and fails it."""
+    for i in range(len(m)):
+        for j in range(i + 1, len(m)):
+            if abs(m[i][j] - m[j][i]) > _plain_bound(m, i, j):
+                return i, j
+    return None
+
+
+@st.composite
+def _pushed_past_the_bound(draw):
+    """A symmetric matrix at one scale, from subnormal to 1.7e308, with some
+    entries moved off their mirror by a multiple of the pair's bound, or by far."""
+    p = draw(st.integers(1, 5))
+    scale = draw(st.sampled_from([5e-324, 1e-310, 1e-300, 1e-150, 1e-10, 1.0, 1e10, 1e300, 1.7e308]))
+    unit = st.floats(-1.0, 1.0)
+    m = [[0.0] * p for _ in range(p)]
+    for i in range(p):
+        for j in range(i + 1):
+            m[i][j] = m[j][i] = draw(unit) * scale
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))
+        factor = draw(st.sampled_from([0.5, 1.0, 1.0 + 2**-40, 2.0, 1e300]) | st.floats(0.0, 4.0))
+        moved = m[j][i] + draw(st.sampled_from([1.0, -1.0])) * factor * _plain_bound(m, i, j)
+        m[i][j] = moved if math.isfinite(moved) else -m[j][i]
+    return m
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(m=_pushed_past_the_bound())
+@example(m=[[1.0, 1e308], [0.0, 1.0]])  # a difference whose ratio to its bound overflows
+def test_asymmetry_is_refused_where_the_plain_bound_fails_and_never_warns(m):
+    first = _first_asymmetric_pair(m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if first is None:
+            CorrelationMatrix(m)
+            return
+        i, j = first
+        with pytest.raises(ValidationError) as raised:
+            CorrelationMatrix(m)
+    assert str(raised.value) == (
+        f"matrix is asymmetric: |m[{i},{j}] - m[{j},{i}]| = {abs(m[i][j] - m[j][i]):.3e} exceeds "
+        f"1e-10 * max(1, sqrt|m[{i},{i}] m[{j},{j}]|) = {_plain_bound(m, i, j):.3e}"
+    )
 
 
 class TestFactorModel:
