@@ -19,9 +19,10 @@ from .model import CorrelationMatrix
 
 # Data lines a file may hold, counted before any of them is converted to floats,
 # so p is at most this.  fit-check's largest report, all three models with
-# --residuals --format json, grows as p^2: at p = 1024 it peaked at 554 MiB of
-# RSS in 5.8 s, about 185 bytes per residual entry (a fresh process, one BLAS
-# thread, 2-vCPU Xeon VM).
+# --residuals --format csv, grows as p^2: at p = 1024 it peaked at 429 MiB of
+# RSS in 2.2 s, about 143 bytes per residual entry.  The same report peaked at
+# 306 MiB in 2.4 s in JSON and at 190 MiB in 1.6 s as a table (a fresh process
+# writing to a file, one BLAS thread, 2-vCPU Xeon VM).
 MAX_MATRIX_ROWS = 1024
 
 

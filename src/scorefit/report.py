@@ -199,7 +199,7 @@ class ReportDocument:
                     "warnings": [msg for model, msg in self.warnings if model == label],
                 }
                 if self.include_residuals:
-                    entry["residuals"] = report.residuals.tolist()
+                    entry["residuals"] = None  # spliced in below
                 doc["fits"].append(entry)
         if self.values:
             doc["results"] = dict(self.values)
@@ -210,7 +210,28 @@ class ReportDocument:
             # JSON has no NaN (the one value unequal to itself): such a cell value is null.
             rows = ([None if v != v else v for v in _cell_row(c)] for c in self.cells)
             doc["cells"] = [dict(zip(_CELL_COLUMNS, row)) for row in rows]
-        return json.dumps(doc, indent=2) + "\n"
+        text = json.dumps(doc, indent=2) + "\n"
+        if not self.include_residuals:
+            return text
+        # Only a fit's "residuals" key is written at this depth: a caller's
+        # string is quoted, with its newlines escaped, so it cannot match.
+        key = '\n      "residuals": '
+        head, *tails = text.split(key + "null")
+        pieces = [head]
+        for (_, report), tail in zip(self.fits, tails, strict=True):
+            pieces += (key, _json_matrix(report.residuals), tail)
+        return "".join(pieces)
+
+
+def _json_matrix(resid: np.ndarray) -> str:
+    # The text json.dumps(indent=2) writes for resid, as nested float lists,
+    # at a fit's "residuals" key.
+    rows = [",\n          ".join(row) for row in _entry_texts(resid, repr)]
+    if not rows:
+        return "[]"
+    text = "[\n        [\n          " + "\n        ],\n        [\n          ".join(rows)
+    # repr writes nan, inf and -inf; json.dumps writes NaN, Infinity and -Infinity.
+    return (text + "\n        ]\n      ]").replace("nan", "NaN").replace("inf", "Infinity")
 
 
 def _one_line(text: str) -> str:

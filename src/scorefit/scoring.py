@@ -64,12 +64,18 @@ def score_model_implied_sigma(sigma: CorrelationMatrix, weights) -> CorrelationM
     weights = _as_columns(weights, "weights")
     _check_same_p(sigma, weights.shape[0], "weight matrix")
     # Sums of entries near the binary64 limit overflow here.  Such a B' Sigma B
-    # is rejected below, so numpy's overflow warning would only precede that error.
+    # or product is rejected below, so numpy's overflow warning would only
+    # precede that error.
     with np.errstate(over="ignore", invalid="ignore"):
         cross = sigma.values @ weights  # Sigma B
         gram = weights.T @ cross  # B' Sigma B
         if not np.isfinite(gram).all():
             raise ValidationError("B' Sigma B is not finite: the entries are too large to sum")
         implied = cross @ spd_solve(gram, cross.T)
+        if not np.isfinite(implied).all():
+            raise ValidationError(
+                "Sigma B (B' Sigma B)^-1 B' Sigma is not finite: "
+                "the entries are too large to multiply"
+            )
     return CorrelationMatrix(implied)
 

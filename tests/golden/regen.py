@@ -116,6 +116,9 @@ _ONCE = {
     "fit-check-covariance-1e12.csv": [
         "fit-check", "--matrix", "covariance_1e12.txt", "--residuals", "--format", "csv",
     ],
+    # Unit variances whose B' Sigma B is finite but whose unit-weighted product
+    # Sigma B (B' Sigma B)^-1 B' Sigma overflows: the error names that product.
+    "fit-check-model-overflow": ["fit-check", "--matrix", "model_overflow.txt"],
     # A loading too large to square: the communality error, and no numpy warning.
     "fit-check-loading-1e200": [
         "fit-check", "--matrix", "whitespace.txt", "--loadings", "loading_1e200.txt",

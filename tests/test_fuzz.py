@@ -1,8 +1,8 @@
 """Fuzz the text of ``fit-check``'s input files, run through ``main``.
 
-Whatever a matrix file holds, ``fit-check`` either exits 0 with a report that
-strict readers take and nothing on stderr, or exits 1 with one
-``scorefit: error:`` line and no report.  Each case runs with and without
+Whatever a matrix file and a loadings file hold, ``fit-check`` either exits 0
+with a report that strict readers take and nothing on stderr, or exits 1 with
+one ``scorefit: error:`` line and no report.  Each case runs with and without
 loadings, in all three formats, with every warning an error.
 """
 
@@ -29,12 +29,10 @@ _VARIANCE = st.one_of(st.just(1.0), _MAGNITUDE, st.sampled_from((0.0, -1.0)))
 _OFF_DIAGONAL = st.one_of(st.floats(-1.0, 1.0), _SIGNED, st.sampled_from((0.0, 1e308, -1e308)))
 # Standard deviations whose squares span the variances above.
 _SD = st.one_of(st.just(1.0), st.floats(1e-150, 1.3e154))
-# Six loadings, of which a p-row matrix reads the first p: standardized ones,
-# or a list that may hold one too large to be standardized.
-_LOADINGS = st.lists(st.floats(-0.95, 0.95), min_size=6, max_size=6) | st.lists(
-    st.floats(-0.95, 0.95) | st.sampled_from((0.0, 1.0, -1.0, 1e200)), min_size=6, max_size=6
-)
-_NUMBER_FORMATS = ("{!r}", "{:.6g}", "{:.17e}", "{:+.3E}")
+# A loading: standardized, or possibly one at the bounds or too large to square.
+_STANDARDIZED = st.floats(-0.95, 0.95)
+_ANY_LOADING = _STANDARDIZED | st.sampled_from((0.0, 1.0, -1.0, 1e200, -1e200, 1e308, -1e308))
+_NUMBER_FORMATS = ("{!r}", "{:.6g}", "{:+.3E}", "{:.17e}")
 
 
 @st.composite
@@ -80,14 +78,50 @@ def _matrix_text(draw):
     return bom + newline.join(lines) + newline, p
 
 
+@st.composite
+def _loadings_text(draw, p):
+    """The text of a loadings file of p - 1, p or p + 1 values.
+
+    Either one value per line or one delimited row, with comment and blank
+    lines around them; the values are all standardized in half the files.
+    """
+    count = draw(st.sampled_from((p - 1, p, p + 1)))
+    element = draw(st.sampled_from((_STANDARDIZED, _ANY_LOADING)))
+    values = draw(st.lists(element, min_size=count, max_size=count))
+    number = draw(st.sampled_from(_NUMBER_FORMATS))
+    texts = [number.format(v) for v in values]
+    if draw(st.booleans()):
+        texts = [draw(st.sampled_from(_SEPARATORS)).join(texts)]
+    lines = []
+    for text in [*texts, None]:
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(("", "* loadings, one; per line 0.5"))))
+        if text is not None:
+            lines.append(text)
+    newline = draw(st.sampled_from(("\n", "\r\n")))
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return bom + newline.join(lines) + newline
+
+
+@st.composite
+def _cases(draw):
+    """A matrix file's text, its row count and a loadings file's text."""
+    text, p = draw(_matrix_text())
+    return text, p, draw(_loadings_text(p))
+
+
 def _no_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
-def _check_report(fmt: str, stdout: str) -> None:
+def _check_report(fmt: str, stdout: str, p: int) -> None:
     if fmt == "json":
         fits = json.loads(stdout, parse_constant=_no_constant)["fits"]
         assert fits and all(isinstance(fit["srmr"], float) for fit in fits)
+        for fit in fits:
+            rows = fit["residuals"]
+            assert len(rows) == p and all(len(row) == p for row in rows)
+            assert all(type(v) is float for row in rows for v in row)
     elif fmt == "csv":
         records = list(csv.reader(io.StringIO(stdout, newline=""), strict=True))
         header = records.index(["record", "model", "i", "j", "value"])
@@ -105,24 +139,26 @@ def _run(argv: list) -> tuple[int, str, str]:
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
-@given(case=_matrix_text(), loadings=_LOADINGS)
+@given(case=_cases())
 # An asymmetric pair 1e308 apart: the symmetry check must not overflow.
-@example(case=("1 1e308\n0 1\n", 2), loadings=[0.5] * 6)
+@example(case=("1 1e308\n0 1\n", 2, "0.5\n0.5\n"))
 # An off-diagonal far above its variances: the rescale to correlation overflows.
-@example(case=("1e-300\n1e10 1e-300\n", 2), loadings=[0.5] * 6)
-def test_fit_check_exits_0_with_a_report_or_1_with_one_line(case, loadings):
-    text, p = case
+@example(case=("1e-300\n1e10 1e-300\n", 2, "0.5\n0.5\n"))
+# A loading too large to square, in one delimited row after a BOM, with CRLF.
+@example(case=("1\n0.25 1\n", 2, "\ufeff* loadings\r\n0.5,, 1e+308\r\n\r\n"))
+def test_fit_check_exits_0_with_a_report_or_1_with_one_line(case):
+    text, p, loadings = case
     with tempfile.TemporaryDirectory() as name:
         matrix, loadings_file = Path(name) / "matrix.txt", Path(name) / "loadings.txt"
         matrix.write_bytes(text.encode("utf-8"))
-        loadings_file.write_text("".join(f"{v!r}\n" for v in loadings[:p]))
+        loadings_file.write_bytes(loadings.encode("utf-8"))
         for extra in ([], ["--loadings", str(loadings_file), "--reflective"]):
             for fmt in ("table", "csv", "json"):
                 argv = ["fit-check", "--matrix", str(matrix), *extra, "--residuals", "--format", fmt]
                 status, stdout, stderr = _run(argv)
                 if status == 0:
                     assert stderr == ""
-                    _check_report(fmt, stdout)
+                    _check_report(fmt, stdout, p)
                 else:
                     assert status == 1
                     assert stdout == ""

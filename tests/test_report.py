@@ -3,13 +3,15 @@
 The oracle is the original renderer loop: one formatted line per residual
 entry, ``residual,{label},{i},{j},{_num(v)}`` in CSV and ``f"{v:7.4f}"`` per
 table cell.  The documents under test carry inputs and fits only, so the
-residual lines are the last lines of either format.
+residual lines are the last lines of either format.  JSON's oracle is
+``json.dumps(indent=2)`` of the document with each residual matrix as a float list.
 
 The scalar, curve, simulation and warning sections are checked as exact text
 rendered from hand-built documents, so no numerical change elsewhere moves them.
 """
 
 import dataclasses
+import json
 import re
 import textwrap
 from pathlib import Path
@@ -151,6 +153,67 @@ class TestEntryTexts:
             sigma = CorrelationMatrix(np.corrcoef(data))
             report = srmr(sigma, score_model_implied_sigma(sigma, np.ones(p)))
             assert _bitwise_symmetric(report.residuals)
+
+
+def _json_oracle(doc: ReportDocument) -> str:
+    parsed = json.loads(dataclasses.replace(doc, include_residuals=False).render())
+    for fit, (_, report) in zip(parsed.get("fits", ()), doc.fits, strict=True):
+        fit["residuals"] = report.residuals.tolist()
+    return json.dumps(parsed, indent=2) + "\n"
+
+
+def _assert_json_like_oracle(fits, **sections):
+    doc = ReportDocument(fits=tuple(fits), include_residuals=True, fmt=OutputFormat.JSON, **sections)
+    assert doc.render() == _json_oracle(doc)
+
+
+_SPECIAL = np.array([0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e308, 1e-05, 1e16, np.nan, np.inf, -np.inf])
+
+
+class TestJsonResiduals:
+    @pytest.mark.parametrize("p", [0, 1, 2, 7, 27])
+    def test_random_symmetric_and_asymmetric(self, p):
+        resid = _symmetric(p, seed=p)
+        asym = np.random.default_rng(p + 100).standard_normal((p, p))
+        _assert_json_like_oracle(
+            [("sym", FitReport(0.5, resid)), ("asym", FitReport(0.25, asym)), ("neg", FitReport(0.1, -resid))],
+            inputs=(("matrix", "m.txt"), ("p", str(p))),
+        )
+
+    def test_special_values_in_random_places(self):
+        # Signed zeros, subnormals, 1e308 and the non-finite entries a
+        # library-built FitReport may hold; half the matrices mirrored exactly.
+        rng = np.random.default_rng(32)
+        for case in range(300):
+            p = int(rng.integers(0, 6))
+            resid = rng.standard_normal((p, p))
+            mask = rng.random((p, p)) < 0.5
+            resid[mask] = rng.choice(_SPECIAL, size=int(mask.sum()))
+            if case % 2:
+                lower = np.tril_indices(p, -1)
+                resid[lower] = resid.T[lower]
+                assert _bitwise_symmetric(resid)
+            _assert_json_like_oracle([("m", FitReport(float(rng.random()), resid))])
+
+    @pytest.mark.parametrize("text", [
+        "null",
+        "residuals",
+        '"residuals": null',
+        '\n      "residuals": null',
+        '      "residuals": null\n    }',
+        "NaN inf nan Infinity",
+    ])
+    def test_caller_strings_do_not_reach_the_splice(self, text):
+        # Each string in every place a caller's text is echoed: input keys and
+        # values, model labels, warnings, result keys.
+        resid = _symmetric(3, seed=4)
+        fits = [(text, FitReport(0.5, resid)), ("residuals", FitReport(0.25, -resid))]
+        _assert_json_like_oracle(
+            fits,
+            inputs=((text, text), ("residuals", text)),
+            warnings=((text, text), ("residuals", text)),
+            values=((text, 1.0), ("residuals", float("nan"))),
+        )
 
 
 class TestFitCheckResidualOutput:

@@ -134,6 +134,21 @@ class TestLargeCovariance:
             with pytest.raises(ValidationError, match="^B' Sigma B is not finite"):
                 score_model_implied_sigma(sigma, np.ones(3))
 
+    def test_a_product_that_overflows_is_named_without_a_numpy_warning(self):
+        # Unit variances and B' Sigma B finite, but Sigma 1 holds sums near
+        # 1e308, so Sigma 1 (1' Sigma 1)^-1 1' Sigma overflows: the error names
+        # that product, not the input matrix.
+        sigma = CorrelationMatrix([
+            [1.0, 1e308, -1e308, 0.5],
+            [1e308, 1.0, 0.0, 0.5],
+            [-1e308, 0.0, 1.0, 0.5],
+            [0.5, 0.5, 0.5, 1.0],
+        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=r"^Sigma B \(B' Sigma B\)\^-1 B' Sigma is not finite"):
+                score_model_implied_sigma(sigma, np.ones(4))
+
 
 class TestScoreModelImpliedSigma:
     @pytest.mark.parametrize("r,p", [(0.0, 3), (0.36, 6), (0.64, 24)])
