@@ -13,12 +13,11 @@ import dataclasses
 import functools
 import hashlib
 import sys
-import warnings
 from pathlib import Path
 
 from . import datasets
 from ._numpy import np
-from .errors import NearSingularMatrixWarning, ScorefitError, SingularMatrixError, ValidationError
+from .errors import ScorefitError, SingularMatrixError, ValidationError
 from .fileio import parse_loadings, parse_matrix
 from .fit import (
     _inverse_sds,
@@ -28,7 +27,7 @@ from .fit import (
     srmr,
     srmr_parallel_closed_form,
 )
-from .model import CorrelationMatrix, FactorModel, cholesky_lower, factor_implied_sigma
+from .model import CorrelationMatrix, FactorModel, _near_singular, cholesky_lower, factor_implied_sigma
 from .report import OutputFormat, ReportDocument
 from .scoring import fs_implied_sigma, score_model_implied_sigma
 from .simulation import SAMPLER, LoadingPattern, SimulationConfig, run_simulation
@@ -249,25 +248,20 @@ def _cmd_fit_check(args) -> ReportDocument:
             models.append(("reflective", factor_implied_sigma, (model,)))
 
     for label, implied_sigma, operands in models:
+        # A near-singular pivot is a report line; other warnings meet the caller's filters.
+        token = _near_singular.set(notes := [])
         try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always", NearSingularMatrixWarning)
-                implied = implied_sigma(*operands)
+            implied = implied_sigma(*operands)
             fits.append((label, srmr(sigma, implied)))
         except ScorefitError as exc:
             # Name the model: a non-PD matrix fails only the models that invert it.
             # The exception keeps its class and attributes (such as pivot_index).
-            # The warnings that led up to it are dropped.
+            # The findings that led up to it are dropped.
             exc.args = (f"{label} model: {exc}",) + exc.args[1:]
             raise
-        # A near-singular pivot is a report line, whatever the caller's filters.
-        # Any other warning met those filters where it was raised, so one that
-        # got through is shown as they would have shown it.
-        for w in caught:
-            if issubclass(w.category, NearSingularMatrixWarning):
-                found.append((label, str(w.message)))
-            else:
-                warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+        finally:
+            _near_singular.reset(token)
+        found += [(label, note) for note in notes]
 
     return ReportDocument(
         inputs=tuple(inputs),

@@ -135,7 +135,7 @@ def min_p_for_srmr(target_srmr: float, r: float) -> int:
     estimate = 2.0 * x * x
     if estimate > 2**53:
         raise NoSolutionError(
-            f"target SRMR {target_srmr:g} at r={r:g} needs more than 2**53 "
+            f"target SRMR {target_srmr!r} at r={r!r} needs more than 2**53 "
             "indicators, where binary64 cannot tell p from p-1"
         )
     # p=2 failed, so the estimate exceeds 8, and the downward walk stops by p=4

@@ -7,6 +7,7 @@ factorization and positive-definite solve, with an explicit pivot tolerance.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import numbers
 import warnings
@@ -25,6 +26,9 @@ from .errors import (
 SYMMETRY_TOL = 1e-10
 PIVOT_TOL = 1e-10
 NEAR_SINGULAR_TOL = 1e-6
+
+# While this holds a list, spd_solve appends its near-singular message to it instead of warning.
+_near_singular = contextvars.ContextVar("_near_singular", default=None)
 
 
 def _as_float_matrix(values, name: str) -> np.ndarray:
@@ -145,12 +149,14 @@ def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     lower = cholesky_lower(a)
     min_pivot = np.diag(lower).min(initial=math.inf) ** 2
     if min_pivot < NEAR_SINGULAR_TOL:
-        warnings.warn(
+        message = (
             f"smallest Cholesky pivot {min_pivot:.3e} is below {NEAR_SINGULAR_TOL:g}; "
-            "results may be unstable",
-            NearSingularMatrixWarning,
-            stacklevel=2,
+            "results may be unstable"
         )
+        if (found := _near_singular.get()) is None:
+            warnings.warn(message, NearSingularMatrixWarning, stacklevel=2)
+        else:
+            found.append(message)
     return np.linalg.solve(lower.T, np.linalg.solve(lower, b))
 
 

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -680,6 +681,69 @@ class TestFitCheckCommand:
             fits = json.loads(capsys.readouterr().out)["fits"]
             assert [len(fit["warnings"]) for fit in fits] == [0, 1]
 
+    def test_scoring_leaves_the_callers_warning_filters_in_place(self, capsys, monkeypatch):
+        scored, seen = cli.score_model_implied_sigma, []
+
+        def spy(sigma, weights):
+            seen.append((warnings.filters, list(warnings.filters)))
+            return scored(sigma, weights)
+
+        monkeypatch.setattr(cli, "score_model_implied_sigma", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            callers, before = warnings.filters, list(warnings.filters)
+            assert main(["fit-check", "--demo", "stai", "--format", "json"]) == 0
+        capsys.readouterr()
+        assert len(seen) == 1
+        assert seen[0][0] is callers and seen[0][1] == before
+
+    def test_concurrent_calls_each_report_their_own_near_singular_pivot(self, tmp_path, monkeypatch):
+        # Two main calls on two threads are both inside the factor-score model
+        # when either computes it; the clean call enters that model last.
+        # numpy is imported by this module, before the threads start, so the
+        # lazy loader is never raced.
+        scored, inside = cli.fs_implied_sigma, threading.Event()
+        barrier = threading.Barrier(2, timeout=30)
+
+        def held(sigma, model):
+            inside.set()
+            barrier.wait()
+            implied = scored(sigma, model)
+            barrier.wait()
+            return implied
+
+        monkeypatch.setattr(cli, "fs_implied_sigma", held)
+        loadings = tmp_path / "l.txt"
+        loadings.write_text("0.6 0.6 0.5\n")
+        statuses, threads = {}, {}
+        matrices = {"near": "1\n0.9999995 1\n0.5 0.5 1\n", "clean": "1\n0.3 1\n0.2 0.25 1\n"}
+        for name, text in matrices.items():
+            (tmp_path / f"{name}.txt").write_text(text)
+            argv = [
+                "fit-check", "--matrix", str(tmp_path / f"{name}.txt"), "--loadings", str(loadings),
+                "--format", "json", "--out", str(tmp_path / f"{name}.json"),
+            ]
+            threads[name] = threading.Thread(
+                target=lambda name=name, argv=argv: statuses.__setitem__(name, main(argv))
+            )
+        threads["near"].start()
+        assert inside.wait(30)
+        threads["clean"].start()
+        for thread in threads.values():
+            thread.join(60)
+        assert statuses == {"near": 0, "clean": 0}
+        reports = {}
+        for name in threads:
+            fits = json.loads((tmp_path / f"{name}.json").read_text())["fits"]
+            reports[name] = {fit["model"]: fit["warnings"] for fit in fits}
+        assert reports == {
+            "near": {
+                "unit_weighted": [],
+                "factor_score": ["smallest Cholesky pivot 1.000e-06 is below 1e-06; results may be unstable"],
+            },
+            "clean": {"unit_weighted": [], "factor_score": []},
+        }
+
     @pytest.mark.parametrize("with_loadings", [False, True])
     def test_sigma_is_factored_once(self, tmp_path, capsys, monkeypatch, with_loadings):
         matrix, loadings = tmp_path / "m.txt", tmp_path / "l.txt"
@@ -898,6 +962,14 @@ class TestClosedFormCommand:
         assert captured.out == ""
         assert captured.err.startswith("scorefit: error:")
 
+    def test_min_p_beyond_2_53_names_the_r_it_was_given(self, capsys):
+        # r is written as given: 0.9999999999999999 is not the r = 1 the command refuses.
+        assert main(["closed-form", "--min-p", "1e-300", "--r", "0.9999999999999999"]) == 1
+        assert capsys.readouterr() == (
+            "",
+            "scorefit: error: target SRMR 1e-300 at r=0.9999999999999999 needs more than "
+            "2**53 indicators, where binary64 cannot tell p from p-1\n",
+        )
 
     @pytest.mark.parametrize("target", ["inf", "-inf", "nan", "0"])
     @pytest.mark.parametrize("argv, flag", [

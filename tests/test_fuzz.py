@@ -1,15 +1,19 @@
-"""Fuzz the text of ``fit-check``'s input files, run through ``main``.
+"""Fuzz ``main``: the text of ``fit-check``'s input files, and the argv of
+``closed-form`` and ``simulate``.
 
 Whatever a matrix file and a loadings file hold, ``fit-check`` either exits 0
 with a report that strict readers take and nothing on stderr, or exits 1 with
 one ``scorefit: error:`` line and no report.  Each case runs with and without
-loadings, in all three formats, with every warning an error.
+loadings, in all three formats, with every warning an error.  The other two
+commands keep the same contract for any argv, or exit 2 with argparse's usage
+text.
 """
 
 import contextlib
 import csv
 import io
 import json
+import math
 import tempfile
 import warnings
 from pathlib import Path
@@ -18,6 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scorefit.cli import main
+from scorefit.fileio import MAX_MATRIX_ROWS
 
 # Separators as written between entries; the parser detects ";", then ",",
 # then whitespace.  A doubled comma or semicolon leaves a blank token.
@@ -130,12 +135,23 @@ def _check_report(fmt: str, stdout: str, p: int) -> None:
 
 
 def _run(argv: list) -> tuple[int, str, str]:
+    """main's exit status, stdout and stderr; a usage error is argparse's status 2."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            status = main(argv)
+            try:
+                status = main(argv)
+            except SystemExit as exc:
+                status = exc.code
     return status, stdout.getvalue(), stderr.getvalue()
+
+
+def _assert_one_error_line(status: int, stdout: str, stderr: str) -> None:
+    assert status == 1
+    assert stdout == ""
+    assert stderr.startswith("scorefit: error: ")
+    assert stderr.count("\n") == 1 and stderr.endswith("\n")
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -160,7 +176,139 @@ def test_fit_check_exits_0_with_a_report_or_1_with_one_line(case):
                     assert stderr == ""
                     _check_report(fmt, stdout, p)
                 else:
-                    assert status == 1
-                    assert stdout == ""
-                    assert stderr.startswith("scorefit: error: ")
-                    assert stderr.count("\n") == 1 and stderr.endswith("\n")
+                    _assert_one_error_line(status, stdout, stderr)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(case=_cases(), at=st.integers(0, 2**16), byte=st.integers(0x80, 0xFF), in_matrix=st.booleans())
+def test_a_file_that_is_not_utf8_exits_1_with_one_line(case, at, byte, in_matrix):
+    text, _, loadings = case
+    data = [text.encode("utf-8"), loadings.encode("utf-8")]
+    i = 0 if in_matrix else 1
+    at %= len(data[i]) + 1
+    # One more byte of 0x80-0xFF anywhere leaves the text invalid UTF-8: a
+    # continuation byte is one too many, and a lead byte is owed at least one.
+    data[i] = data[i][:at] + bytes([byte]) + data[i][at:]
+    with tempfile.TemporaryDirectory() as name:
+        matrix, loadings_file = Path(name) / "matrix.txt", Path(name) / "loadings.txt"
+        matrix.write_bytes(data[0])
+        loadings_file.write_bytes(data[1])
+        argv = ["fit-check", "--matrix", str(matrix), "--loadings", str(loadings_file)]
+        _assert_one_error_line(*_run(argv))
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(
+    rows=st.integers(MAX_MATRIX_ROWS + 1, MAX_MATRIX_ROWS + 3),
+    token=st.sampled_from(("1", "0.5", "1e308", "nan", "x")),
+    newline=st.sampled_from(("\n", "\r\n")),
+)
+def test_a_matrix_file_above_the_row_cap_exits_1_with_one_line(rows, token, newline):
+    with tempfile.TemporaryDirectory() as name:
+        matrix = Path(name) / "matrix.txt"
+        matrix.write_bytes(((token + newline) * rows).encode("utf-8"))
+        for fmt in ("table", "csv", "json"):
+            status, stdout, stderr = _run(["fit-check", "--matrix", str(matrix), "--format", fmt])
+            _assert_one_error_line(status, stdout, stderr)
+            assert f"has {rows} data lines, above the cap of {MAX_MATRIX_ROWS}" in stderr
+
+
+# Argv values: mostly ones a command runs, and the rest at every edge: floats
+# 0, -0, +-inf, nan, subnormals and +-1e308, ints negative or 2**64.  Sizes
+# stay small wherever a value would be run: p <= 6, reps <= 5, n <= 50.
+_EDGE_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072e-308, 1e308, -1e308)
+_EDGE_INTS = (-(2**64), -1, 0, 2**64)
+
+
+def _often(draw) -> bool:
+    return draw(st.integers(0, 9)) < 8
+
+
+def _float_text(draw, low: float = 0.0, high: float = 1.0) -> str:
+    value = draw(st.floats(low, high) if _often(draw) else st.sampled_from(_EDGE_FLOATS))
+    return draw(st.sampled_from(_NUMBER_FORMATS + ("{}",))).format(value)
+
+
+def _int(draw, low: int, high: int) -> int:
+    return draw(st.integers(low, high) if _often(draw) else st.sampled_from(_EDGE_INTS))
+
+
+def _flag(draw, flag: str, value: str) -> list:
+    """--flag=value, or now and then --flag value, which argparse may take for an option."""
+    return [f"{flag}={value}"] if _often(draw) else [flag, value]
+
+
+@st.composite
+def _closed_form_argv(draw):
+    """A closed-form argv: a mode with the options it reads, now and then
+    missing one or carrying one it does not read."""
+    mode = draw(st.sampled_from(("--solve-r", "--min-p", "--curve", None)))
+    reads = {"--solve-r": {"--p"}, "--min-p": {"--r"}, "--curve": {"--p-range"}}
+    reads = reads.get(mode, {"--r", "--p"})
+    argv = ["closed-form"]
+    if mode == "--curve":
+        texts = [_float_text(draw, 0.0, 0.6) for _ in range(draw(st.integers(0, 3)))]
+        argv += _flag(draw, mode, ",".join(texts) + draw(st.sampled_from(("", ",", ", "))))
+    elif mode is not None:
+        argv += _flag(draw, mode, _float_text(draw, 0.0, 0.6))
+    if ("--r" in reads) == _often(draw):
+        argv += _flag(draw, "--r", _float_text(draw))
+    if ("--p" in reads) == _often(draw):
+        argv += _flag(draw, "--p", str(_int(draw, 2, 6)))
+    if ("--p-range" in reads) == _often(draw):
+        bounds = sorted(_int(draw, 2, 6) for _ in range(2))
+        if not _often(draw):
+            bounds.reverse()
+        if draw(st.booleans()):
+            bounds.append(_int(draw, 1, 3))
+        argv += _flag(draw, "--p-range", ":".join(map(str, bounds)))
+    return argv
+
+
+@st.composite
+def _simulate_argv(draw):
+    """A simulate argv over a small grid; the defaults would run p up to 24."""
+
+    def values(text):
+        return ",".join(text() for _ in range(draw(st.integers(1 if _often(draw) else 0, 3))))
+
+    argv = ["simulate"]
+    argv += _flag(draw, "--p", values(lambda: str(_int(draw, 2, 6))))
+    argv += _flag(draw, "--n", values(lambda: str(_int(draw, 7, 50))))
+    argv += _flag(draw, "--reps", str(_int(draw, 1, 5)))
+    if draw(st.booleans()):
+        argv += _flag(draw, "--l", values(lambda: _float_text(draw, 0.1, 0.9)))
+    if draw(st.booleans()):
+        argv += ["--pattern", draw(st.sampled_from(("constant", "variable", "both")))]
+    for flag in ("--seed", "--workers"):
+        if draw(st.booleans()):
+            argv += _flag(draw, flag, str(_int(draw, 0, 2**64 - 1)))
+    return argv
+
+
+def _check_argv_run(argv: list) -> None:
+    for fmt in ("table", "csv", "json"):
+        status, stdout, stderr = _run([*argv, "--format", fmt])
+        if status == 0:
+            assert stderr == ""
+            if fmt == "json":
+                json.loads(stdout, parse_constant=_no_constant)
+            elif fmt == "csv":
+                assert list(csv.reader(io.StringIO(stdout, newline=""), strict=True))
+        elif status == 2:
+            assert stdout == ""
+            assert stderr.startswith("usage: scorefit ")
+        else:
+            _assert_one_error_line(status, stdout, stderr)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(argv=_closed_form_argv())
+def test_closed_form_argv_exits_0_1_or_2(argv):
+    _check_argv_run(argv)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(argv=_simulate_argv())
+def test_simulate_argv_exits_0_1_or_2(argv):
+    _check_argv_run(argv)
