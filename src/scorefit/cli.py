@@ -20,7 +20,7 @@ from ._numpy import np
 from .errors import ScorefitError, SingularMatrixError, ValidationError
 from .fileio import parse_loadings, parse_matrix
 from .fit import (
-    _inverse_sds,
+    _standardized,
     min_p_for_srmr,
     required_r_curve,
     solve_r_for_srmr,
@@ -28,7 +28,7 @@ from .fit import (
     srmr_parallel_closed_form,
 )
 from .model import CorrelationMatrix, FactorModel, _near_singular, cholesky_lower, factor_implied_sigma
-from .report import OutputFormat, ReportDocument
+from .report import OutputFormat, ReportDocument, _one_line
 from .scoring import fs_implied_sigma, score_model_implied_sigma
 from .simulation import SAMPLER, LoadingPattern, SimulationConfig, run_simulation
 
@@ -209,12 +209,7 @@ def _cmd_fit_check(args) -> ReportDocument:
     # metric: a covariance matrix becomes D^-1/2 Sigma D^-1/2 first.
     variances = np.diagonal(sigma.values)
     if not (variances == 1.0).all():
-        s = _inverse_sds(variances, f"{source}: ")
-        # Sigma_ij * s_i * s_j, left to right: no product of two variances, so
-        # entries near 1e308 do not overflow.  An entry far above its variances
-        # (a matrix that is no covariance) may; it is then rejected as non-finite.
-        with np.errstate(over="ignore"):
-            values = sigma.values * s[:, None] * s
+        values = _standardized(sigma.values, variances, f"{source}: ")
         np.fill_diagonal(values, 1.0)
         sigma = CorrelationMatrix(values)
         inputs.append(("metric", "covariance, rescaled to correlation"))
@@ -353,7 +348,7 @@ def main(argv=None) -> int:
     try:
         text = dataclasses.replace(args.handler(args), fmt=OutputFormat(args.format)).render()
     except ScorefitError as exc:
-        print(f"scorefit: error: {exc}", file=sys.stderr)
+        print("scorefit: error: " + _one_line(str(exc)), file=sys.stderr)
         return 1
     except MemoryError:
         print("scorefit: error: out of memory while building the report", file=sys.stderr)
@@ -367,7 +362,8 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(text)
     except (OSError, UnicodeEncodeError) as exc:
-        print(f"scorefit: error: cannot write {args.out or 'stdout'}: {exc}", file=sys.stderr)
+        message = f"cannot write {args.out or 'stdout'}: {exc}"
+        print("scorefit: error: " + _one_line(message), file=sys.stderr)
         return 1
     return 0
 

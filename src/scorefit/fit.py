@@ -40,12 +40,19 @@ def _srmr_from_squares(squares: np.ndarray) -> np.ndarray:
     return np.sqrt(total / (p * (p + 1)))
 
 
-def _inverse_sds(variances: np.ndarray, where: str = "") -> np.ndarray:
-    """``1/sqrt(variances)``; a variance that is not positive raises, naming its indicator."""
+def _standardized(values: np.ndarray, variances: np.ndarray, where: str = "") -> np.ndarray:
+    """``values_ij * s_i * s_j``, left to right, with ``s = 1/sqrt(variances)``.
+
+    No product of two variances is formed, so entries near 1e308 stay finite;
+    one far above its variances may overflow, for the caller to reject.  A
+    variance that is not positive raises, naming its indicator after ``where``.
+    """
     if not (variances > 0.0).all():
         i = int(np.argmin(variances > 0.0))
         raise ValidationError(f"{where}variance of indicator {i} is {variances[i]:g}, not positive")
-    return 1.0 / np.sqrt(variances)
+    s = 1.0 / np.sqrt(variances)
+    with np.errstate(over="ignore"):
+        return values * s[:, None] * s
 
 
 def srmr(sigma: CorrelationMatrix, sigma_model: CorrelationMatrix) -> FitReport:
@@ -66,12 +73,8 @@ def srmr(sigma: CorrelationMatrix, sigma_model: CorrelationMatrix) -> FitReport:
         )
     if sigma.p == 0:
         raise DimensionError("SRMR needs at least one indicator, got 0x0 matrices")
-    s = _inverse_sds(np.diagonal(sigma.values))
     with np.errstate(over="ignore"):
-        resid = sigma.values - sigma_model.values
-        # r_ij * s_i * s_j, left to right, as fit-check rescales a covariance.
-        resid *= s[:, None]
-        resid *= s
+        resid = _standardized(sigma.values - sigma_model.values, np.diagonal(sigma.values))
         value = float(_srmr_from_squares(resid * resid))
     if not math.isfinite(value):
         raise ValidationError("the SRMR is not finite: the residuals are too large to square")

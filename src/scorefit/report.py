@@ -67,8 +67,9 @@ def _entry_texts(resid: np.ndarray, fmt: Callable[[float], str]) -> list[list[st
     bits = resid.view(np.uint64)
     if not np.array_equal(bits, bits.T):
         return [list(map(fmt, row)) for row in resid.tolist()]
-    # Mirroring is exact for srmr() residuals: both operands were symmetrized
-    # as M/2 + M'/2, and IEEE subtraction keeps that symmetry.
+    # Mirroring is exact for srmr() residuals only where diag(sigma) is all 1.0,
+    # as in every fit-check report: both operands were symmetrized as M/2 + M'/2,
+    # and IEEE subtraction keeps that symmetry; scaling by s_i s_j may not.
     p = len(resid)
     upper = np.triu_indices(p)
     texts = np.array(list(map(fmt, resid[upper].tolist())), dtype=object)
@@ -235,9 +236,9 @@ def _json_matrix(resid: np.ndarray) -> str:
 
 
 def _one_line(text: str) -> str:
-    # An echoed input or a table warning keeps to its own line: CR and LF are
-    # written as the escapes \r and \n, and a backslash as \\ so the escape
-    # can be undone (JSON escapes all three itself).
+    # An echoed input, a table warning or an error message keeps to its own
+    # line: CR and LF are written as the escapes \r and \n, and a backslash
+    # as \\ so the escape can be undone (JSON escapes all three itself).
     return text.replace("\\", "\\\\").replace("\r", "\\r").replace("\n", "\\n")
 
 

@@ -20,7 +20,7 @@ from scorefit import (
     srmr_parallel_closed_form,
 )
 import scorefit.fit
-from scorefit.fit import _srmr_from_squares
+from scorefit.fit import _srmr_from_squares, _standardized
 
 
 def pipeline_srmr(r, p):
@@ -102,6 +102,23 @@ class TestSrmr:
         sigma = CorrelationMatrix([[1.0, 0.0, 0.0], [0.0, variance, 0.0], [0.0, 0.0, 1.0]])
         with pytest.raises(ValidationError, match=f"^variance of indicator 1 is {variance:g}, not positive$"):
             srmr(sigma, CorrelationMatrix(np.eye(3)))
+
+
+class TestStandardized:
+    def test_entries_near_the_float_limit_stay_finite(self):
+        # values_ij * s_i * s_j forms no product of two variances.
+        values = np.array([[1e308, 5e307], [5e307, 1e308]])
+        out = _standardized(values, np.diagonal(values))
+        assert np.array_equal(out, [[1.0, 0.5], [0.5, 1.0]])
+
+    def test_an_entry_far_above_its_variances_overflows_without_a_warning(self):
+        # The caller rejects the infinite entry; no RuntimeWarning is raised.
+        out = _standardized(np.array([[1e-300, 1e300], [1e300, 1e-300]]), np.array([1e-300, 1e-300]))
+        assert np.isinf(out[0, 1]) and np.isinf(out[1, 0])
+
+    def test_a_variance_that_is_not_positive_is_named_after_where(self):
+        with pytest.raises(ValidationError, match=r"^m\.txt: variance of indicator 2 is -1, not positive$"):
+            _standardized(np.eye(3), np.array([1.0, 2.0, -1.0]), "m.txt: ")
 
 
 class TestFitReport:

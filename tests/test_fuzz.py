@@ -1,10 +1,11 @@
-"""Fuzz ``main``: the text of ``fit-check``'s input files, and the argv of
-``closed-form`` and ``simulate``.
+"""Fuzz ``main``: the text and the names of ``fit-check``'s files, and the
+argv of ``closed-form`` and ``simulate``.
 
 Whatever a matrix file and a loadings file hold, ``fit-check`` either exits 0
 with a report that strict readers take and nothing on stderr, or exits 1 with
 one ``scorefit: error:`` line and no report.  Each case runs with and without
-loadings, in all three formats, with every warning an error.  The other two
+loadings, in all three formats, with every warning an error.  A path is
+echoed on one line, whatever bytes its name holds.  The other two
 commands keep the same contract for any argv, or exit 2 with argparse's usage
 text.
 """
@@ -14,6 +15,7 @@ import csv
 import io
 import json
 import math
+import os
 import tempfile
 import warnings
 from pathlib import Path
@@ -127,6 +129,9 @@ def _check_report(fmt: str, stdout: str, p: int) -> None:
             rows = fit["residuals"]
             assert len(rows) == p and all(len(row) == p for row in rows)
             assert all(type(v) is float for row in rows for v in row)
+            # On the correlation metric srmr()'s residuals are symmetric, so
+            # _entry_texts formats only their upper triangle.
+            assert rows == [list(column) for column in zip(*rows)]
     elif fmt == "csv":
         records = list(csv.reader(io.StringIO(stdout, newline=""), strict=True))
         header = records.index(["record", "model", "i", "j", "value"])
@@ -211,6 +216,90 @@ def test_a_matrix_file_above_the_row_cap_exits_1_with_one_line(rows, token, newl
             status, stdout, stderr = _run(["fit-check", "--matrix", str(matrix), "--format", fmt])
             _assert_one_error_line(status, stdout, stderr)
             assert f"has {rows} data lines, above the cap of {MAX_MATRIX_ROWS}" in stderr
+
+
+# Path names: each piece is one a report must not echo as is.  Each file
+# takes a distinct stem, so no two names collide.
+_NAME_PIECES = ("x", "\r", "\n", "\r\n", "\\", os.fsdecode(b"\xff"))
+_PATH_MATRICES = (
+    "1\n0.3 1\n0.2 0.25 1\n",  # a correlation
+    "4\n0.6 9\n0.4 0.75 1\n",  # a covariance, rescaled
+    "1\n1 1\n1 1 1\n",  # not positive definite: a report note or an error
+    "-1\n0.3 1\n0.2 0.25 1\n",  # a variance that is not positive
+    "1\nx 1\n0.2 0.25 1\n",  # a token that is no number
+)
+_PATH_LOADINGS = (None, "0.5\n0.6\n0.7\n", "0.5\n0.6\n")
+_NAME = st.lists(st.sampled_from(_NAME_PIECES), min_size=1, max_size=3)
+
+
+def _escaped(text: str) -> str:
+    # An echoed text on one line: backslash, CR and LF as \\, \r and \n.
+    return text.replace("\\", "\\\\").replace("\r", "\\r").replace("\n", "\\n")
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    names=st.tuples(_NAME, _NAME, _NAME),
+    matrix_text=st.sampled_from(_PATH_MATRICES),
+    loadings_text=st.sampled_from(_PATH_LOADINGS),
+    out=st.sampled_from(("stdout", "file", "missing directory")),
+)
+# An LF in the matrix path, echoed in the error that names a variance.
+@example(names=(["\n"], ["x"], ["x"]), matrix_text=_PATH_MATRICES[3], loadings_text=None, out="stdout")
+# A CR LF in the --out path, echoed in the error that the write raises.
+@example(
+    names=(["x"], ["x"], ["\r\n"]),
+    matrix_text=_PATH_MATRICES[0],
+    loadings_text=None,
+    out="missing directory",
+)
+# The byte 0xff in a path, echoed into the --out file; a backslash beside it.
+@example(
+    names=([os.fsdecode(b"\xff"), "\\"], ["\\"], ["x"]),
+    matrix_text=_PATH_MATRICES[1],
+    loadings_text=_PATH_LOADINGS[1],
+    out="file",
+)
+def test_fit_check_echoes_any_path_on_one_line(names, matrix_text, loadings_text, out):
+    with tempfile.TemporaryDirectory() as name:
+        matrix, loadings, out_file = (
+            Path(name) / (stem + "".join(pieces)) for stem, pieces in zip(("m", "l", "o"), names)
+        )
+        matrix.write_text(matrix_text)
+        argv, echoed = ["fit-check", "--matrix", str(matrix)], {"matrix": str(matrix)}
+        if loadings_text is not None:
+            loadings.write_text(loadings_text)
+            argv += ["--loadings", str(loadings)]
+            echoed["loadings"] = str(loadings)
+        if out == "missing directory":
+            out_file = Path(name) / "missing" / out_file.name
+        if out != "stdout":
+            argv += ["--out", str(out_file)]
+        for fmt in ("table", "csv", "json"):
+            status, stdout, stderr = _run([*argv, "--format", fmt])
+            if status != 0:
+                _assert_one_error_line(status, stdout, stderr)
+                continue
+            assert stderr == ""
+            text = stdout
+            if out != "stdout":
+                assert stdout == ""
+                raw = out_file.read_bytes()
+                text = raw.decode("utf-8", errors="surrogateescape")
+            if fmt == "json":
+                inputs = json.loads(text, parse_constant=_no_constant)["inputs"]
+                assert all(inputs[key] == path for key, path in echoed.items())
+                continue
+            lines = text.split("\n")
+            if fmt == "table":
+                # An input line is "  key  value", the key padded with spaces.
+                lines = [line.split(None, 1) for line in lines if line.startswith("  ")]
+            for key, path in echoed.items():
+                line = f"# {key}={_escaped(path)}" if fmt == "csv" else [key, _escaped(path)]
+                assert lines.count(line) == 1
+                if out != "stdout":
+                    # The undecodable byte is written back as it was read.
+                    assert os.fsencode(_escaped(path)) in raw
 
 
 # Argv values: mostly ones a command runs, and the rest at every edge: floats
