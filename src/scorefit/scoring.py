@@ -57,12 +57,14 @@ def score_model_implied_sigma(sigma: CorrelationMatrix, weights) -> CorrelationM
     """Covariance reproduced by composite scores: Sigma B (B' Sigma B)^-1 B' Sigma.
 
     ``weights`` is B: a length-p vector (one composite) or a p x q array-like
-    of finite entries.  Works for any weight matrix; invariant to rescaling of
+    of finite entries, q >= 1.  Works for any weight matrix; invariant to rescaling of
     the weights.  The result is an oblique projection of Sigma, so applying
     the operation to its own output with the same weights reproduces it.
     """
     weights = _as_columns(weights, "weights")
     _check_same_p(sigma, weights.shape[0], "weight matrix")
+    if not weights.shape[1]:
+        raise DimensionError("weight matrix has no columns: a score model needs a composite")
     # Sums of entries near the binary64 limit overflow here.  Such a B' Sigma B
     # or product is rejected below, so numpy's overflow warning would only
     # precede that error.

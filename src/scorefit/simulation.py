@@ -50,12 +50,13 @@ compatibility; it has no effect.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
 
 from ._numpy import np
-from .errors import ScorefitError, ValidationError
+from .errors import DimensionError, ScorefitError, ValidationError
 from .fit import _srmr_from_squares, srmr
 from .model import PIVOT_TOL, CorrelationMatrix, cholesky_lower
 from .scoring import score_model_implied_sigma
@@ -114,9 +115,13 @@ class SimulationConfig:
     seed: int = 1234
 
     def __post_init__(self):
-        object.__setattr__(self, "sample_sizes", tuple(int(n) for n in self.sample_sizes))
+        ns = tuple(_integer(n, "sample size") for n in self.sample_sizes)
+        ps = tuple(_integer(p, "indicator count") for p in self.indicator_counts)
+        object.__setattr__(self, "sample_sizes", ns)
         object.__setattr__(self, "mean_loadings", tuple(float(l) for l in self.mean_loadings))
-        object.__setattr__(self, "indicator_counts", tuple(int(p) for p in self.indicator_counts))
+        object.__setattr__(self, "indicator_counts", ps)
+        object.__setattr__(self, "replications", _integer(self.replications, "replications"))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         if not self.sample_sizes or not self.mean_loadings or not self.indicator_counts:
             raise ValidationError("sample sizes, loadings and indicator counts must be non-empty")
         if not 1 <= self.replications <= MAX_REPLICATIONS:
@@ -131,8 +136,7 @@ class SimulationConfig:
             population_loadings(l, 2, self.loading_pattern)
         max_p = max(self.indicator_counts)
         for n in self.sample_sizes:
-            if n < max_p + 1:
-                raise ValidationError(f"sample size {n} is below p + 1 = {max_p + 1}")
+            _check_sample_size(n, max_p)
         for p in self.indicator_counts:
             _check_indicator_count(p, self.loading_pattern)
         entries = len(set(self.mean_loadings)) * sum(p * p for p in set(self.indicator_counts))
@@ -141,10 +145,6 @@ class SimulationConfig:
                 f"the (l, p) populations hold {entries} correlation entries, above the cap "
                 f"of {MAX_POPULATION_ENTRIES} (distinct loadings times the sum of p^2)"
             )
-        for n in self.sample_sizes:
-            # The chi-square draws take n - 1 degrees of freedom as a C long.
-            if n > 2**63:
-                raise ValidationError(f"sample size {n} is above 2**63")
 
 
 @dataclass(frozen=True)
@@ -159,6 +159,22 @@ class SimulationCell:
     mean_srmr_s: float
     sd_srmr_s: float
     replications_used: int
+
+
+def _integer(value, what: str) -> int:
+    # numpy registers its integer types as numbers.Integral; a bool is an int
+    # but not a count, and a float is refused even when it is integral.
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _check_sample_size(n: int, p: int) -> None:
+    if n < p + 1:
+        raise ValidationError(f"sample size {n} is below p + 1 = {p + 1}")
+    # The chi-square draws take n - 1 degrees of freedom as a C long.
+    if n > 2**63:
+        raise ValidationError(f"sample size {n} is above 2**63")
 
 
 def _check_indicator_count(p: int, pattern: LoadingPattern) -> None:
@@ -267,13 +283,16 @@ def sample_correlation(loadings, n: int, rng: np.random.Generator) -> Correlatio
     population correlation ``lambda lambda' + diag(1 - lambda^2)``, at a cost
     that does not grow with n.  Loadings of magnitude one in two or more places
     make that population singular and raise :class:`SingularMatrixError`.
+    The loadings are a non-empty vector and n an integer in [p + 1, 2**63],
+    as in :class:`SimulationConfig`.
     """
     lam = np.asarray(loadings, dtype=float)
+    if lam.ndim != 1 or not lam.size:
+        raise DimensionError(f"loadings must be a non-empty vector, got shape {lam.shape}")
     p = lam.size
     if np.abs(lam).max() > 1.0:
         raise ValidationError("standardized loadings must lie in [-1, 1]")
-    if n < p + 1:
-        raise ValidationError(f"need n >= p + 1 = {p + 1}, got n={n}")
+    _check_sample_size(_integer(n, "sample size"), p)
     chol = cholesky_lower(population_correlation(lam).values)
     t, a, at, r = np.zeros((4, 1, p, p))
     _draw_lower(t, np.tril_indices(p, -1), rng)
@@ -348,7 +367,7 @@ def run_simulation(config: SimulationConfig) -> list[SimulationCell]:
     moments = dict.fromkeys(product(ns, ls, ps), _NO_VALUES)
     for p in ps:
         buffers[0].fill(0.0)  # blocks write only T's strict lower triangle and diagonal
-        lower = np.nonzero(np.tri(p, k=-1, dtype=bool))  # np.tril_indices(p, -1), 4x faster
+        lower = np.tril_indices(p, -1)
         normals = _stream(config.seed, 0, kind, p)
         chisqs = {n: _stream(config.seed, 1, kind, n, p) for n in ns}
         block = _block_reps(p)

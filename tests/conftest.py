@@ -1,51 +1,37 @@
+import functools
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from scorefit import stai_correlation_matrix, stai_loadings
 from scorefit.simulation import LoadingPattern, SimulationConfig, run_simulation
 
-# Published simulation results, transcribed at print precision:
-# (n, l, p) -> (pop_const, mean_const, sd_const, pop_var, mean_var, sd_var)
-TABLE2 = {
-    (150, 0.2, 6): (0.45, 0.45, 0.011, 0.45, 0.45, 0.011),
-    (150, 0.2, 12): (0.35, 0.36, 0.005, 0.35, 0.36, 0.005),
-    (150, 0.2, 24): (0.26, 0.27, 0.003, 0.26, 0.27, 0.003),
-    (150, 0.4, 6): (0.39, 0.40, 0.015, 0.39, 0.40, 0.015),
-    (150, 0.4, 12): (0.31, 0.31, 0.009, 0.31, 0.31, 0.008),
-    (150, 0.4, 24): (0.23, 0.24, 0.005, 0.23, 0.24, 0.005),
-    (150, 0.6, 6): (0.30, 0.30, 0.018, 0.30, 0.30, 0.017),
-    (150, 0.6, 12): (0.24, 0.24, 0.012, 0.24, 0.24, 0.011),
-    (150, 0.6, 24): (0.18, 0.18, 0.008, 0.18, 0.18, 0.008),
-    (150, 0.8, 6): (0.17, 0.17, 0.015, 0.18, 0.18, 0.015),
-    (150, 0.8, 12): (0.13, 0.14, 0.011, 0.14, 0.14, 0.010),
-    (150, 0.8, 24): (0.10, 0.10, 0.008, 0.11, 0.11, 0.007),
-    (300, 0.2, 6): (0.45, 0.45, 0.008, 0.45, 0.45, 0.008),
-    (300, 0.2, 12): (0.35, 0.36, 0.004, 0.35, 0.36, 0.004),
-    (300, 0.2, 24): (0.26, 0.27, 0.002, 0.26, 0.27, 0.002),
-    (300, 0.4, 6): (0.39, 0.39, 0.011, 0.39, 0.39, 0.011),
-    (300, 0.4, 12): (0.31, 0.31, 0.006, 0.31, 0.31, 0.006),
-    (300, 0.4, 24): (0.23, 0.23, 0.004, 0.23, 0.23, 0.004),
-    (300, 0.6, 6): (0.30, 0.30, 0.012, 0.30, 0.30, 0.012),
-    (300, 0.6, 12): (0.24, 0.24, 0.008, 0.24, 0.24, 0.008),
-    (300, 0.6, 24): (0.18, 0.18, 0.006, 0.18, 0.18, 0.005),
-    (300, 0.8, 6): (0.17, 0.17, 0.011, 0.18, 0.18, 0.011),
-    (300, 0.8, 12): (0.13, 0.13, 0.008, 0.14, 0.14, 0.007),
-    (300, 0.8, 24): (0.10, 0.10, 0.005, 0.11, 0.11, 0.005),
-    (900, 0.2, 6): (0.45, 0.45, 0.005, 0.45, 0.45, 0.005),
-    (900, 0.2, 12): (0.35, 0.35, 0.002, 0.35, 0.35, 0.002),
-    (900, 0.2, 24): (0.26, 0.26, 0.001, 0.26, 0.26, 0.001),
-    (900, 0.4, 6): (0.39, 0.39, 0.006, 0.39, 0.39, 0.006),
-    (900, 0.4, 12): (0.31, 0.31, 0.004, 0.31, 0.31, 0.003),
-    (900, 0.4, 24): (0.23, 0.23, 0.002, 0.23, 0.23, 0.002),
-    (900, 0.6, 6): (0.30, 0.30, 0.007, 0.30, 0.30, 0.007),
-    (900, 0.6, 12): (0.24, 0.24, 0.005, 0.24, 0.24, 0.005),
-    (900, 0.6, 24): (0.18, 0.18, 0.003, 0.18, 0.18, 0.003),
-    (900, 0.8, 6): (0.17, 0.17, 0.006, 0.18, 0.18, 0.006),
-    (900, 0.8, 12): (0.13, 0.13, 0.004, 0.14, 0.14, 0.004),
-    (900, 0.8, 24): (0.10, 0.10, 0.003, 0.11, 0.11, 0.003),
-}
+ROOT = Path(__file__).resolve().parents[1]
+# The golden-output tooling, imported by name as ``regen`` and ``replay``.
+sys.path.insert(0, str(ROOT / "tests" / "golden"))
 
 DESK_SCALE_SEED = 1234
 DESK_SCALE_REPS = 1000
+
+
+@functools.cache
+def bench_module(name: str):
+    """``bench/<name>.py`` as a module of its own, loaded once; it writes no bytecode under bench/."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = write_bytecode
+    return module
+
+
+def no_json_constant(name):
+    """``parse_constant`` for ``json.loads``: strict readers take no NaN or Infinity."""
+    raise ValueError(f"non-standard JSON constant {name}")
 
 
 @pytest.fixture(scope="session")
@@ -60,7 +46,9 @@ def stai_lam():
 
 @pytest.fixture(scope="session")
 def table2():
-    return TABLE2
+    """The paper's Table 2 as the benchmark transcribes it: (n, l, p) -> (population,
+    mean and SD of the sample SRMR) for the constant pattern, then the variable one."""
+    return bench_module("reference").TABLE2
 
 
 @pytest.fixture(scope="session")

@@ -2,8 +2,10 @@
 
 Run ``pytest -s tests/test_acceptance.py`` to get one PASS/FAIL line per
 criterion.  The full-scale simulation check (5000 replications, tighter mean
-tolerance) is opt-in via the SCOREFIT_FULL_SIM environment variable; it takes
-a few seconds.
+tolerance) is opt-in via the SCOREFIT_FULL_SIM environment variable.  It takes
+about a second (1 s on a 2-vCPU Intel Xeon VM) and fails at its seed 13, with a
+worst |mean diff| of 0.005038 against its bound of 0.005: ROADMAP items 5 and
+20 restate it.  Table 2 is the benchmark's transcription, ``bench/reference.py``.
 """
 
 import os
@@ -53,16 +55,28 @@ def test_closed_form_matches_published_population_column(table2):
     )
 
 
+def _table2_gaps(tables, table2):
+    """Worst |simulated - published| of each Table 2 statistic, per loading pattern.
+
+    ``tables`` maps a pattern to its cells.  Table 2 gives each (n, l, p) three
+    columns per pattern, constant then variable: the population SRMR, and the
+    mean and SD of the sample SRMR.  Each pattern gets those three gaps, in that
+    order; a NaN statistic gives a NaN gap, which no bound passes.
+    """
+    gaps = {}
+    for pattern, cells in tables.items():
+        first = 3 if pattern is LoadingPattern.VARIABLE else 0
+        simulated = [(c.population_srmr, c.mean_srmr_s, c.sd_srmr_s) for c in cells]
+        published = [table2[c.n, c.l, c.p][first : first + 3] for c in cells]
+        gaps[pattern] = np.abs(np.subtract(simulated, published)).max(axis=0)
+    return gaps
+
+
 def test_simulated_populations_match_both_published_population_columns(desk_scale_tables, table2):
-    worst = {}
-    for pattern, column in ((LoadingPattern.CONSTANT, 0), (LoadingPattern.VARIABLE, 3)):
-        worst[pattern.value] = max(
-            abs(cell.population_srmr - table2[(cell.n, cell.l, cell.p)][column])
-            for cell in desk_scale_tables[pattern]
-        )
+    worst = {pattern.value: gap[0] for pattern, gap in _table2_gaps(desk_scale_tables, table2).items()}
     _verdict(
         "simulate's population SRMR matches both published population columns (tol 0.005)",
-        max(worst.values()) <= 0.005,
+        np.max(list(worst.values())) <= 0.005,
         ", ".join(f"worst |diff| {pattern} = {value:.5f}" for pattern, value in worst.items()),
     )
 
@@ -107,14 +121,8 @@ def test_reflective_model_sanity(stai_sigma, stai_lam):
 
 
 def test_simulation_reproduces_published_table_at_desk_scale(desk_scale_tables, table2):
-    worst_mean, worst_sd = 0.0, 0.0
-    checked = 0
-    for pattern, column in ((LoadingPattern.CONSTANT, 1), (LoadingPattern.VARIABLE, 4)):
-        for cell in desk_scale_tables[pattern]:
-            expected = table2[(cell.n, cell.l, cell.p)]
-            worst_mean = max(worst_mean, abs(cell.mean_srmr_s - expected[column]))
-            worst_sd = max(worst_sd, abs(cell.sd_srmr_s - expected[column + 1]))
-            checked += 1
+    _, worst_mean, worst_sd = np.max(list(_table2_gaps(desk_scale_tables, table2).values()), axis=0)
+    checked = sum(map(len, desk_scale_tables.values()))
     ok = checked == 72 and worst_mean <= 0.01 and worst_sd <= 0.005
     _verdict(
         "desk-scale simulation: all 72 cells within 0.01 (mean) and 0.005 (SD) of the published table",
@@ -232,17 +240,16 @@ FULL_SCALE_SEED = 13
 
 @pytest.mark.skipif(
     not os.environ.get("SCOREFIT_FULL_SIM"),
-    reason="full-scale run (5000 replications, a few seconds); set SCOREFIT_FULL_SIM=1",
+    reason="full-scale run (5000 replications, about a second); set SCOREFIT_FULL_SIM=1",
 )
 def test_simulation_full_scale_tightens_means(table2):
-    worst_mean = 0.0
-    for pattern, column in ((LoadingPattern.CONSTANT, 1), (LoadingPattern.VARIABLE, 4)):
-        config = SimulationConfig(
-            loading_pattern=pattern, replications=5000, seed=FULL_SCALE_SEED
+    tables = {
+        pattern: run_simulation(
+            SimulationConfig(loading_pattern=pattern, replications=5000, seed=FULL_SCALE_SEED)
         )
-        for cell in run_simulation(config):
-            expected = table2[(cell.n, cell.l, cell.p)]
-            worst_mean = max(worst_mean, abs(cell.mean_srmr_s - expected[column]))
+        for pattern in LoadingPattern
+    }
+    worst_mean = np.max([gap[1] for gap in _table2_gaps(tables, table2).values()])
     _verdict(
         "full-scale simulation: all 72 cell means within 0.005 of the published table",
         worst_mean <= 0.005,

@@ -26,6 +26,8 @@ from hypothesis import strategies as st
 from scorefit.cli import main
 from scorefit.fileio import MAX_MATRIX_ROWS
 
+from conftest import no_json_constant
+
 # Separators as written between entries; the parser detects ";", then ",",
 # then whitespace.  A doubled comma or semicolon leaves a blank token.
 _SEPARATORS = (",", ", ", ",,", ";", " ; ", ";;", " ", "\t", "   ")
@@ -117,13 +119,9 @@ def _cases(draw):
     return text, p, draw(_loadings_text(p))
 
 
-def _no_constant(name):
-    raise ValueError(f"non-standard JSON constant {name}")
-
-
 def _check_report(fmt: str, stdout: str, p: int) -> None:
     if fmt == "json":
-        fits = json.loads(stdout, parse_constant=_no_constant)["fits"]
+        fits = json.loads(stdout, parse_constant=no_json_constant)["fits"]
         assert fits and all(isinstance(fit["srmr"], float) for fit in fits)
         for fit in fits:
             rows = fit["residuals"]
@@ -287,7 +285,7 @@ def test_fit_check_echoes_any_path_on_one_line(names, matrix_text, loadings_text
                 raw = out_file.read_bytes()
                 text = raw.decode("utf-8", errors="surrogateescape")
             if fmt == "json":
-                inputs = json.loads(text, parse_constant=_no_constant)["inputs"]
+                inputs = json.loads(text, parse_constant=no_json_constant)["inputs"]
                 assert all(inputs[key] == path for key, path in echoed.items())
                 continue
             lines = text.split("\n")
@@ -381,7 +379,7 @@ def _check_argv_run(argv: list) -> None:
         if status == 0:
             assert stderr == ""
             if fmt == "json":
-                json.loads(stdout, parse_constant=_no_constant)
+                json.loads(stdout, parse_constant=no_json_constant)
             elif fmt == "csv":
                 assert list(csv.reader(io.StringIO(stdout, newline=""), strict=True))
         elif status == 2:

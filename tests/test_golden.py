@@ -8,14 +8,12 @@ fresh processes.
 """
 
 import json
-import sys
-from pathlib import Path
 
 import pytest
+import regen
+import replay
 
-sys.path.insert(0, str(Path(__file__).parent / "golden"))
-import regen  # noqa: E402
-import replay  # noqa: E402
+from conftest import no_json_constant
 
 
 def test_every_golden_has_a_command():
@@ -86,10 +84,6 @@ _JSON_REPORTS = sorted(
 )
 
 
-def _no_constant(name):
-    raise ValueError(f"non-standard JSON constant {name}")
-
-
 def test_every_report_has_a_json_golden():
     assert {f"{name}.json" for name in regen._REPORTS} <= set(_JSON_REPORTS)
 
@@ -100,6 +94,6 @@ def test_json_golden_is_strict_json(name):
     # text to what the command writes now, so checking the stored one suffices.
     golden = regen.load(regen.GOLDEN_DIR / f"{name}.json")
     if golden["exit"] == 0:
-        assert isinstance(json.loads(golden["stdout"], parse_constant=_no_constant), dict)
+        assert isinstance(json.loads(golden["stdout"], parse_constant=no_json_constant), dict)
     else:
         assert golden["stdout"] == ""

@@ -6,24 +6,18 @@ never takes the lazy path.  Each test here starts a new interpreter with
 ``tests/golden/regen.py`` and reports back as JSON.
 """
 
-import importlib.util
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
+import regen
 
 from scorefit import ValidationError, build_parallel_sigma, srmr_parallel_closed_form
 from scorefit.report import _num
 
-ROOT = Path(__file__).resolve().parents[1]
-GOLDEN = ROOT / "tests" / "golden"
-
-_spec = importlib.util.spec_from_file_location("golden_regen", GOLDEN / "regen.py")
-regen = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(regen)
+from conftest import ROOT
 
 # Runs the named golden commands, then reports each result, which numpy
 # submodules the process has loaded and whether it loaded ctypes.  {before}
@@ -46,7 +40,7 @@ CLOSED_FORM = sorted(name for name in regen.COMMANDS if name.startswith("closed-
 
 def _child(names, before=""):
     code = CHILD.format(
-        src=str(ROOT / "src"), regen=str(GOLDEN / "regen.py"), names=names, before=before
+        src=str(ROOT / "src"), regen=str(regen.GOLDEN_DIR / "regen.py"), names=names, before=before
     )
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60
@@ -55,7 +49,7 @@ def _child(names, before=""):
 
 
 def _golden(name):
-    return regen.load(GOLDEN / f"{name}.json")
+    return regen.load(regen.GOLDEN_DIR / f"{name}.json")
 
 
 def test_closed_form_writes_its_goldens_without_loading_numpy():

@@ -3,15 +3,12 @@ tracer wraps, the package version and the README's Library example."""
 
 import contextlib
 import importlib
-import importlib.util
 import io
 import re
-import sys
-from pathlib import Path
 
 import scorefit
 
-ROOT = Path(__file__).resolve().parents[1]
+from conftest import ROOT, bench_module
 
 VERSION = "0.14.0"
 
@@ -62,13 +59,10 @@ def test_all_is_the_pinned_sorted_list():
         assert hasattr(scorefit, name), name
 
 
-def test_traced_names_resolve(monkeypatch):
+def test_traced_names_resolve():
     # The tracer wraps these by name; a deleted or renamed one would break
-    # `bench/run.py --trace 1`.  Loading it leaves no bytecode under bench/.
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    # `bench/run.py --trace 1`.
+    spans = bench_module("spans")
     assert spans.TRACED
     for span, (module, attr) in spans.TRACED.items():
         assert callable(getattr(importlib.import_module(module), attr, None)), span

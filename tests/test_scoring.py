@@ -161,6 +161,10 @@ class TestScoreModelImpliedSigma:
         with pytest.raises(DimensionError, match="^weight matrix has 19 rows but the matrix has 20$"):
             score_model_implied_sigma(stai_sigma, np.ones(19))
 
+    def test_weights_need_a_column(self):
+        with pytest.raises(DimensionError, match="^weight matrix has no columns: "):
+            score_model_implied_sigma(CorrelationMatrix(np.eye(2)), np.zeros((2, 0)))
+
     def test_weights_must_be_finite(self, stai_sigma):
         weights = np.ones(20)
         weights[3] = np.inf

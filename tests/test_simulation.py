@@ -7,6 +7,7 @@ import pytest
 import scorefit.simulation as simulation
 from scorefit import (
     CorrelationMatrix,
+    DimensionError,
     ScorefitError,
     SingularMatrixError,
     ValidationError,
@@ -504,6 +505,7 @@ class TestSimulationConfig:
     def test_defaults_are_valid(self):
         config = SimulationConfig()
         assert config.replications == 1000
+        assert SimulationConfig(sample_sizes=(np.int64(150),)).sample_sizes == (150,)
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValidationError):
@@ -553,6 +555,31 @@ class TestSimulationConfig:
                 loading_pattern=LoadingPattern.VARIABLE,
                 replications=2,
             )
+
+
+# One integer rule and one sample-size rule, p + 1 <= n <= 2**63, for both
+# entry points: numpy integers pass, and floats (integral ones too) and bools do not.
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda rng: SimulationConfig(sample_sizes=(150.7,)), id="config-float-n"),
+        pytest.param(lambda rng: SimulationConfig(sample_sizes=(150.0,)), id="config-integral-float-n"),
+        pytest.param(lambda rng: SimulationConfig(indicator_counts=(6.9,)), id="config-float-p"),
+        pytest.param(lambda rng: SimulationConfig(replications=2.5), id="config-float-reps"),
+        pytest.param(lambda rng: SimulationConfig(replications=True), id="config-bool-reps"),
+        pytest.param(lambda rng: SimulationConfig(seed=1.5), id="config-float-seed"),
+        pytest.param(lambda rng: sample_correlation([], 5, rng), id="sample-no-loadings"),
+        pytest.param(lambda rng: sample_correlation([[0.5, 0.5], [0.5, 0.5]], 5, rng), id="sample-matrix"),
+        pytest.param(lambda rng: sample_correlation([0.5, 0.5], 3.5, rng), id="sample-float-n"),
+        pytest.param(lambda rng: sample_correlation([0.5, 0.5], 2**70, rng), id="sample-n-over-2**63"),
+    ],
+)
+def test_bad_design_values_raise_before_anything_is_drawn(call):
+    rng = rng_for(5)
+    state = rng.bit_generator.state
+    with pytest.raises((ValidationError, DimensionError)):
+        call(rng)
+    assert rng.bit_generator.state == state
 
 
 SMALL = dict(sample_sizes=(150, 300), mean_loadings=(0.4,), indicator_counts=(6, 12), replications=40, seed=77)
